@@ -27,8 +27,9 @@ WorkStealingScheduler::Seed(size_t worker,
     {
         std::lock_guard<std::mutex> lock(deques_[worker]->mutex);
         deques_[worker]->states.push_back(std::move(state));
+        // Counted under the deque lock: see Push.
+        queued_.fetch_add(1, std::memory_order_acq_rel);
     }
-    queued_.fetch_add(1, std::memory_order_acq_rel);
     wait_cv_.notify_one();
 }
 
@@ -47,8 +48,12 @@ WorkStealingScheduler::Push(size_t worker,
     {
         std::lock_guard<std::mutex> lock(deques_[worker]->mutex);
         deques_[worker]->states.push_back(std::move(*state));
+        // Count the state before releasing the lock: pops uncount under
+        // the same lock, so a pop must never find it uncounted, or
+        // queued_ wraps below zero and concurrent fresh pushes fail the
+        // budget check (their subtrees end as limit paths).
+        queued_.fetch_add(1, std::memory_order_acq_rel);
     }
-    queued_.fetch_add(1, std::memory_order_acq_rel);
     wait_cv_.notify_one();
     return true;
 }

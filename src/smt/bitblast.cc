@@ -55,10 +55,10 @@ BitBlaster::AndGate(Lit a, Lit b)
     auto it = gate_cache_.find(key);
     if (it != gate_cache_.end())
         return it->second;
-    const Lit o = NewLit();
-    solver_->AddBinary(~o, a);
-    solver_->AddBinary(~o, b);
-    solver_->AddTernary(o, ~a, ~b);
+    const Lit o(solver_->NewDefinedVar({a, b}), false);
+    solver_->AddDefClause({~o, a});
+    solver_->AddDefClause({~o, b});
+    solver_->AddDefClause({o, ~a, ~b});
     gate_cache_.emplace(key, o);
     return o;
 }
@@ -102,11 +102,11 @@ BitBlaster::XorGate(Lit a, Lit b)
     if (it != gate_cache_.end()) {
         o = it->second;
     } else {
-        o = NewLit();
-        solver_->AddTernary(~o, a, b);
-        solver_->AddTernary(~o, ~a, ~b);
-        solver_->AddTernary(o, ~a, b);
-        solver_->AddTernary(o, a, ~b);
+        o = Lit(solver_->NewDefinedVar({a, b}), false);
+        solver_->AddDefClause({~o, a, b});
+        solver_->AddDefClause({~o, ~a, ~b});
+        solver_->AddDefClause({o, ~a, b});
+        solver_->AddDefClause({o, a, ~b});
         gate_cache_.emplace(key, o);
     }
     return flip ? ~o : o;
@@ -125,11 +125,11 @@ BitBlaster::MuxGate(Lit sel, Lit then_l, Lit else_l)
         return sel;
     if (IsFalseLit(then_l) && IsTrueLit(else_l))
         return ~sel;
-    const Lit o = NewLit();
-    solver_->AddTernary(~sel, ~then_l, o);
-    solver_->AddTernary(~sel, then_l, ~o);
-    solver_->AddTernary(sel, ~else_l, o);
-    solver_->AddTernary(sel, else_l, ~o);
+    const Lit o(solver_->NewDefinedVar({sel, then_l, else_l}), false);
+    solver_->AddDefClause({~sel, ~then_l, o});
+    solver_->AddDefClause({~sel, then_l, ~o});
+    solver_->AddDefClause({sel, ~else_l, o});
+    solver_->AddDefClause({sel, else_l, ~o});
     return o;
 }
 
@@ -437,11 +437,13 @@ BitBlaster::ActivationLit(ExprRef e)
     if (it != guard_memo_.end())
         return it->second;
     const Lit body = Blast(e)[0];
-    const Lit guard = NewLit();
-    // If e blasts to constant-false, AddClause reduces (¬g ∨ false) to
-    // the unit ¬g, so assuming g correctly yields UNSAT; constant-true
-    // bodies make the clause vacuous and g a free literal.
-    solver_->AddBinary(~guard, body);
+    // A guard is defined over its body: only a call assuming it (or a
+    // cone reaching it) decides the assertion's circuit.
+    const Lit guard(solver_->NewDefinedVar({body}), false);
+    // If e blasts to constant-false, AddDefClause reduces (¬g ∨ false)
+    // to the unit ¬g, so assuming g correctly yields UNSAT;
+    // constant-true bodies make the clause vacuous and g a free literal.
+    solver_->AddDefClause({~guard, body});
     // Guards branch to active first: models then satisfy as many
     // retractable assertions as possible, so the solver's cross-query
     // solution reuse keeps hitting as the assumption set drifts.

@@ -4,7 +4,9 @@
 // STP lowers QF_BV queries. Each expression node maps to a little-endian
 // vector of SAT literals; gates are Tseitin-encoded with structural
 // hashing at both the expression level (hash-consed DAG) and the gate
-// level (AND/OR/XOR gate cache).
+// level (AND/OR/XOR gate cache). Gate outputs and activation guards are
+// SAT-level definitions (SatSolver::NewDefinedVar), so a solve decides
+// only the circuits its assumptions and asserted units reach.
 
 #ifndef ACHILLES_SMT_BITBLAST_H_
 #define ACHILLES_SMT_BITBLAST_H_

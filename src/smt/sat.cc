@@ -14,11 +14,72 @@
 namespace achilles {
 namespace smt {
 
+namespace {
+
+/** Registry name of each SatCounters field. */
+const struct
+{
+    const char *key;
+    int64_t SatCounters::*field;
+} kCounterKeys[] = {
+    {"sat.solve_calls", &SatCounters::solve_calls},
+    {"sat.decisions", &SatCounters::decisions},
+    {"sat.propagations", &SatCounters::propagations},
+    {"sat.conflicts", &SatCounters::conflicts},
+    {"sat.learnt_clauses", &SatCounters::learnt_clauses},
+    {"sat.restarts", &SatCounters::restarts},
+    {"sat.budget_exhausted", &SatCounters::budget_exhausted},
+    {"sat.solution_reuses", &SatCounters::solution_reuses},
+    {"sat.trail_reuses", &SatCounters::trail_reuses},
+    {"sat.trail_levels_reused", &SatCounters::trail_levels_reused},
+    {"sat.core_minimize_probes", &SatCounters::core_minimize_probes},
+    {"sat.batch_solves", &SatCounters::batch_solves},
+    {"sat.batch_rounds", &SatCounters::batch_rounds},
+};
+static_assert(sizeof(kCounterKeys) / sizeof(kCounterKeys[0]) *
+                      sizeof(int64_t) ==
+                  sizeof(SatCounters),
+              "every SatCounters field needs a registry name");
+
+}  // namespace
+
+SatCounters &
+SatCounters::operator+=(const SatCounters &other)
+{
+    for (const auto &entry : kCounterKeys)
+        this->*entry.field += other.*entry.field;
+    return *this;
+}
+
+SatCounters
+SatCounters::operator-(const SatCounters &other) const
+{
+    SatCounters out = *this;
+    for (const auto &entry : kCounterKeys)
+        out.*entry.field -= other.*entry.field;
+    return out;
+}
+
 SatSolver::SatSolver() = default;
+
+const StatsRegistry &
+SatSolver::stats() const
+{
+    // Only this writeback sets these keys, so absolute values are exact;
+    // a counter that never moved stays absent from the registry.
+    for (const auto &entry : kCounterKeys) {
+        const int64_t value = counters_.*entry.field;
+        if (value != 0)
+            stats_.Set(entry.key, value);
+    }
+    return stats_;
+}
 
 uint32_t
 SatSolver::NewVar()
 {
+    // Not queued for decision: MarkCone queues the variables a call
+    // must assign.
     const uint32_t v = static_cast<uint32_t>(assigns_.size());
     assigns_.push_back(LBool::kUndef);
     model_.push_back(LBool::kUndef);
@@ -27,12 +88,57 @@ SatSolver::NewVar()
     level_.push_back(0);
     reason_.push_back(kNoClause);
     seen_.push_back(0);
-    var_shared_.push_back(0);
+    var_flags_.push_back(0);
+    def_.push_back(static_cast<uint32_t>(def_inputs_.size()));
     watches_.emplace_back();
     watches_.emplace_back();
     heap_pos_.push_back(-1);
-    HeapInsert(v);
     return v;
+}
+
+uint32_t
+SatSolver::NewDefinedVar(const Lit *inputs, size_t n)
+{
+    const uint32_t v = NewVar();
+    for (size_t i = 0; i < n; ++i) {
+        ACHILLES_CHECK(inputs[i].var() < v, "definition input not older");
+        def_inputs_.push_back(inputs[i].var());
+    }
+    return v;
+}
+
+size_t
+SatSolver::MarkCone(const std::vector<Lit> &assumptions)
+{
+    for (uint32_t v : cone_)
+        var_flags_[v] &= ~kVarInCone;
+    cone_.clear();
+    const auto visit = [this](uint32_t v) {
+        if (!(var_flags_[v] & kVarInCone)) {
+            var_flags_[v] |= kVarInCone;
+            cone_.push_back(v);
+        }
+    };
+    for (uint32_t v : roots_)
+        visit(v);
+    for (Lit p : assumptions) {
+        ACHILLES_CHECK(p.var() < NumVars());
+        visit(p.var());
+    }
+    // cone_ doubles as the breadth-first worklist.
+    size_t unassigned = 0;
+    for (size_t i = 0; i < cone_.size(); ++i) {
+        const uint32_t v = cone_[i];
+        const size_t end =
+            v + 1 < NumVars() ? def_[v + 1] : def_inputs_.size();
+        for (size_t k = def_[v]; k < end; ++k)
+            visit(def_inputs_[k]);
+        if (assigns_[v] == LBool::kUndef) {
+            ++unassigned;
+            HeapInsert(v);
+        }
+    }
+    return unassigned;
 }
 
 void
@@ -108,11 +214,20 @@ SatSolver::LitValue(Lit l) const
 }
 
 bool
-SatSolver::AddClause(std::vector<Lit> lits)
+SatSolver::InsertClause(std::vector<Lit> lits, bool root)
 {
     if (!ok_)
         return false;
     BacktrackTo(0);
+    if (root) {
+        for (Lit l : lits) {
+            ACHILLES_CHECK(l.var() < NumVars(), "literal for unknown var");
+            if (!(var_flags_[l.var()] & kVarRoot)) {
+                var_flags_[l.var()] |= kVarRoot;
+                roots_.push_back(l.var());
+            }
+        }
+    }
 
     // Normalize: sort, dedupe, drop level-0-false literals, detect
     // tautologies and level-0-true literals.
@@ -162,7 +277,7 @@ SatSolver::AllocClause(const std::vector<Lit> &lits, bool learnt)
     if (learnt) {
         arena_.push_back(0);
         SetClauseActivity(cref, 0.0f);
-        stats_.Bump("sat.learnt_clauses");
+        ++counters_.learnt_clauses;
     }
     return cref;
 }
@@ -222,7 +337,7 @@ SatSolver::Propagate()
     ClauseRef conflict = kNoClause;
     while (qhead_ < trail_.size()) {
         const Lit p = trail_[qhead_++];
-        stats_.Bump("sat.propagations");
+        ++counters_.propagations;
         std::vector<Watcher> &ws = watches_[p.code()];
         size_t keep = 0;
         size_t i = 0;
@@ -372,7 +487,8 @@ SatSolver::BacktrackTo(uint32_t target_level)
         saved_phase_[l.var()] = l.negated() ? 0 : 1;
         assigns_[l.var()] = LBool::kUndef;
         reason_[l.var()] = kNoClause;
-        HeapInsert(l.var());
+        if (var_flags_[l.var()] & kVarInCone)
+            HeapInsert(l.var());
     }
     trail_.resize(bound);
     trail_lim_.resize(target_level);
@@ -384,12 +500,14 @@ SatSolver::BacktrackTo(uint32_t target_level)
 Lit
 SatSolver::PickBranchLit()
 {
-    // Pop the activity order-heap until an unassigned variable surfaces.
-    // Every unassigned variable is in the heap (BacktrackTo re-inserts
-    // what it unassigns), so an empty heap means a full assignment.
+    // Pop the activity order-heap until an unassigned cone variable
+    // surfaces; others leave the heap until a later cone takes them back.
+    // Every unassigned cone variable is in the heap (MarkCone queues
+    // them, BacktrackTo re-inserts what it unassigns), so an empty heap
+    // means the cone is fully assigned.
     while (!heap_.empty()) {
         const uint32_t v = HeapPop();
-        if (assigns_[v] != LBool::kUndef)
+        if (assigns_[v] != LBool::kUndef || !(var_flags_[v] & kVarInCone))
             continue;
         switch (params_.phase_policy) {
         case PhasePolicy::kNegative:
@@ -603,7 +721,7 @@ SatSolver::MinimizeCore()
             if (j != i)
                 candidate.push_back(work[j]);
         }
-        stats_.Bump("sat.core_minimize_probes");
+        ++counters_.core_minimize_probes;
         if (Search(candidate, /*max_conflicts=*/-1,
                    /*refute_only=*/true) == SatStatus::kUnsat) {
             work = core_;  // the refined core (subset of candidate)
@@ -619,7 +737,7 @@ bool
 SatSolver::AllVarsShared(const std::vector<Lit> &lits) const
 {
     for (Lit l : lits) {
-        if (l.var() >= var_shared_.size() || !var_shared_[l.var()])
+        if (l.var() >= NumVars() || !(var_flags_[l.var()] & kVarShared))
             return false;
     }
     return true;
@@ -663,8 +781,8 @@ SatSolver::Solve(const std::vector<Lit> &assumptions, int64_t max_conflicts)
         last_solve_conflicts_ = 0;
         return SatStatus::kUnsat;
     }
-    stats_.Bump("sat.solve_calls");
-    const int64_t conflicts_before = stats_.Get("sat.conflicts");
+    ++counters_.solve_calls;
+    const int64_t conflicts_before = counters_.conflicts;
     const SatStatus status = Search(assumptions, max_conflicts);
     // Cores of at most two literals skip the deletion loop: a
     // conflicting pair is already minimal unless one member is
@@ -678,7 +796,7 @@ SatSolver::Solve(const std::vector<Lit> &assumptions, int64_t max_conflicts)
     }
     if (status == SatStatus::kUnsat)
         MaybeExportCore();
-    last_solve_conflicts_ = stats_.Get("sat.conflicts") - conflicts_before;
+    last_solve_conflicts_ = counters_.conflicts - conflicts_before;
     return status;
 }
 
@@ -694,7 +812,7 @@ SatSolver::SolveBatch(const std::vector<Lit> &assumptions,
         last_solve_conflicts_ = 0;
         return verdicts;
     }
-    stats_.Bump("sat.batch_solves");
+    ++counters_.batch_solves;
 
     // One representative literal per group. A singleton group is its
     // own representative. A multi-literal (or empty) group gets a fresh
@@ -713,15 +831,15 @@ SatSolver::SolveBatch(const std::vector<Lit> &assumptions,
             reps[i] = members[0];
             continue;
         }
-        const Lit g(NewVar(), false);
+        const Lit g(NewDefinedVar(members), false);
         std::vector<Lit> reverse;
         reverse.reserve(members.size() + 1);
         reverse.push_back(g);
         for (Lit m : members) {
-            AddBinary(~g, m);
+            AddDefClause({~g, m});
             reverse.push_back(~m);
         }
-        AddClause(std::move(reverse));
+        AddDefClause(std::move(reverse));
         reps[i] = g;
     }
     if (!ok_) {
@@ -743,19 +861,19 @@ SatSolver::SolveBatch(const std::vector<Lit> &assumptions,
     while (pending > 0 && ok_) {
         if (max_conflicts >= 0 && budget_left <= 0)
             break;
-        stats_.Bump("sat.batch_rounds");
+        ++counters_.batch_rounds;
         // Fresh throwaway selector steering the search toward some
         // still-pending representative; retired with a unit after the
         // round so later calls never see the steering clause active.
-        const Lit s(NewVar(), false);
-        std::vector<Lit> steer;
+        std::vector<Lit> steer;  // the pending representatives, then ~s
         steer.reserve(pending + 1);
-        steer.push_back(~s);
         for (size_t i = 0; i < groups.size(); ++i) {
             if (verdicts[i] == SatStatus::kUnknown)
                 steer.push_back(reps[i]);
         }
-        if (!AddClause(std::move(steer)))
+        const Lit s(NewDefinedVar(steer), false);
+        steer.push_back(~s);
+        if (!AddDefClause(std::move(steer)))
             break;  // base store UNSAT; the !ok_ sweep below finishes
         round_assumptions.back() = s;
         const SatStatus status = Solve(round_assumptions, budget_left);
@@ -765,7 +883,7 @@ SatSolver::SolveBatch(const std::vector<Lit> &assumptions,
                 std::max<int64_t>(0, max_conflicts - total_conflicts);
         }
         if (status == SatStatus::kUnknown) {
-            AddUnit(~s);
+            AddDefClause({~s});
             break;  // budget spent; the rest stay kUnknown
         }
         if (status == SatStatus::kUnsat) {
@@ -776,7 +894,7 @@ SatSolver::SolveBatch(const std::vector<Lit> &assumptions,
                     verdicts[i] = SatStatus::kUnsat;
             }
             pending = 0;
-            AddUnit(~s);
+            AddDefClause({~s});
             break;
         }
         // kSat: mark every pending group the model satisfies. The
@@ -801,7 +919,7 @@ SatSolver::SolveBatch(const std::vector<Lit> &assumptions,
             }
         }
         ACHILLES_CHECK(marked > 0);
-        AddUnit(~s);
+        AddDefClause({~s});
     }
     if (!ok_) {
         // A round (or selector retirement) surfaced a root conflict in
@@ -824,25 +942,28 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
         core_.clear();
         return SatStatus::kUnsat;
     }
-    // Solution reuse: a SAT call leaves its full assignment standing
-    // (see the kSat exit below), and nothing invalidates it -- AddClause
-    // either keeps it a model or flips ok_, NewVar un-fills the trail.
-    // If it already satisfies the new assumptions, the answer is kSat in
-    // O(|assumptions|), which is what lets a stream of closely related
-    // queries skip the O(vars) re-assignment entirely.
-    if (trail_.size() == NumVars()) {
+    // Solution reuse: every exit leaves a trail that is fully
+    // propagated and conflict-free (a SAT call leaves its whole
+    // assignment standing, see the kSat exit below), and AddClause only
+    // ever shortens it to the root. If that trail already assigns this
+    // call's whole cone and makes every assumption true, it is a model
+    // by the class comment's argument: kSat without a single decision,
+    // which is what lets a stream of closely related queries skip the
+    // re-assignment entirely.
+    const size_t unassigned_cone = MarkCone(assumptions);
+    if (unassigned_cone == 0 && qhead_ == trail_.size()) {
         bool satisfied = true;
         for (Lit p : assumptions) {
-            ACHILLES_CHECK(p.var() < NumVars());
             if (LitValue(p) != LBool::kTrue) {
                 satisfied = false;
                 break;
             }
         }
         if (satisfied) {
-            model_ = assigns_;
+            for (uint32_t v : cone_)
+                model_[v] = assigns_[v];
             core_.clear();
-            stats_.Bump("sat.solution_reuses");
+            ++counters_.solution_reuses;
             return SatStatus::kSat;
         }
     }
@@ -863,8 +984,8 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
         }
     }
     if (keep_level > 0) {
-        stats_.Bump("sat.trail_reuses");
-        stats_.Bump("sat.trail_levels_reused", keep_level);
+        ++counters_.trail_reuses;
+        counters_.trail_levels_reused += keep_level;
     }
     BacktrackTo(keep_level);
     if (learnt_cap_ <= 0) {
@@ -890,7 +1011,7 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
         const ClauseRef conflict = Propagate();
         if (conflict != kNoClause) {
             ++conflicts;
-            stats_.Bump("sat.conflicts");
+            ++counters_.conflicts;
             if (DecisionLevel() == 0) {
                 ok_ = false;
                 core_.clear();
@@ -944,7 +1065,7 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
                                       assumption_trail_.size())
                                 : 0);
                 core_.clear();
-                stats_.Bump("sat.budget_exhausted");
+                ++counters_.budget_exhausted;
                 return SatStatus::kUnknown;
             }
             if (conflicts - conflicts_at_restart >= restart_budget) {
@@ -955,7 +1076,7 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
                         ? params_.restart_base * Luby(restart_number)
                         : static_cast<int64_t>(restart_budget *
                                                params_.restart_growth);
-                stats_.Bump("sat.restarts");
+                ++counters_.restarts;
                 BacktrackTo(0);
                 if (static_cast<int64_t>(learnts_.size()) >= learnt_cap_) {
                     ReduceDB();
@@ -1004,14 +1125,15 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
 
         const Lit next = PickBranchLit();
         if (next.code() == 0xffffffffu) {
-            // All variables assigned: model found. Leave the assignment
+            // The cone is assigned: model found. Leave the assignment
             // standing for cross-query solution reuse (the next Solve
             // backtracks before searching anyway).
-            model_ = assigns_;
+            for (uint32_t v : cone_)
+                model_[v] = assigns_[v];
             core_.clear();
             return SatStatus::kSat;
         }
-        stats_.Bump("sat.decisions");
+        ++counters_.decisions;
         NewDecisionLevel();
         Enqueue(next, kNoClause);
     }

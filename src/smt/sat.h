@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <vector>
 
 #include "support/logging.h"
@@ -92,14 +93,80 @@ struct SatParams
 };
 
 /**
+ * Cumulative event counts of one SatSolver. They live on plain integers
+ * because they are bumped per propagation, decision and conflict; the
+ * string-keyed registry behind SatSolver::stats() is filled from them
+ * only when it is read.
+ */
+struct SatCounters
+{
+    int64_t solve_calls = 0;
+    int64_t decisions = 0;
+    int64_t propagations = 0;
+    int64_t conflicts = 0;
+    int64_t learnt_clauses = 0;
+    int64_t restarts = 0;
+    int64_t budget_exhausted = 0;
+    int64_t solution_reuses = 0;
+    int64_t trail_reuses = 0;
+    int64_t trail_levels_reused = 0;
+    int64_t core_minimize_probes = 0;
+    int64_t batch_solves = 0;
+    int64_t batch_rounds = 0;
+
+    /** Field-wise sum and difference. */
+    SatCounters &operator+=(const SatCounters &other);
+    SatCounters operator-(const SatCounters &other) const;
+};
+
+/**
  * CDCL SAT solver.
  *
  * Usage: NewVar() variables, AddClause() clauses, Solve(). After kSat,
- * Value(var) gives the model. The solver may be re-Solved after adding
- * more clauses and under different assumptions (clauses persist; learnt
- * clauses are retained across calls up to a MiniSat-style ReduceDB cap,
- * which is what makes the incremental assumption-based Solver backend
- * pay off across closely related queries).
+ * Value(var) gives the model of every variable in the call's cone (see
+ * below). The solver may be re-Solved after adding more clauses and
+ * under different assumptions (clauses persist; learnt clauses are
+ * retained across calls up to a MiniSat-style ReduceDB cap, which is
+ * what makes the incremental assumption-based Solver backend pay off
+ * across closely related queries).
+ *
+ * Cone of influence. A persistent instance accumulates the CNF of every
+ * expression ever bit-blasted into it, while one call constrains only a
+ * few of them, so a call decides only the variables of its cone:
+ *
+ *  - Roots: the variables of the call's assumptions plus every variable
+ *    of a clause added through AddClause. Raw-CNF users therefore keep
+ *    full decisions: every clause they add is a root.
+ *  - Defined variables (NewDefinedVar) pull their inputs into the cone
+ *    when they are in it. A definition is a Tseitin gate (its clauses
+ *    fix it as a function of its inputs), or an activation guard or
+ *    batch selector (each of its clauses contains its negation). Its
+ *    clauses go through AddDefClause and mention only the variable and
+ *    its inputs; inputs are created before the variable they define.
+ *
+ * A call answers kSat once propagation is complete and conflict-free,
+ * every assumption is true and every cone variable is assigned.
+ * Soundness: let σ be that partial assignment. Extend it by visiting the
+ * variables outside the cone in creation order: a gate takes the value
+ * of its function over its (already valued) inputs, a guard or selector
+ * is set false, any other variable is set false. The result satisfies
+ *
+ *  - every AddClause clause and every definition of a cone variable:
+ *    all their variables are in the cone, and a fully assigned clause
+ *    under complete, conflict-free propagation is satisfied;
+ *  - every definition of a gate outside the cone, by evaluation;
+ *  - every definition of a guard or selector outside the cone, which
+ *    contains its negation;
+ *  - learnt and imported clauses, which are implied by the clauses
+ *    above;
+ *
+ * and it agrees with σ on the cone, assumptions included. So the
+ * verdict is right and Value() on a cone variable is a value of a true
+ * model. Callers read only cone variables: the facade reads the
+ * variable bits of assertions it guarded (reached through their guard
+ * and gate inputs) and SolveBatch reads group members (reached through
+ * the round's selector). tests/test_sat_cone.cc checks the extension
+ * on random circuits.
  */
 class SatSolver
 {
@@ -111,10 +178,39 @@ class SatSolver
     uint32_t NumVars() const { return static_cast<uint32_t>(assigns_.size()); }
 
     /**
-     * Add a clause (disjunction of literals). Returns false if the clause
-     * set is already unsatisfiable (empty clause / conflicting units).
+     * Create a defined variable over `inputs` (existing variables; the
+     * literal signs are ignored). Its clauses must be added with
+     * AddDefClause; see the class comment for what a definition may be.
      */
-    bool AddClause(std::vector<Lit> lits);
+    uint32_t NewDefinedVar(std::initializer_list<Lit> inputs)
+    {
+        return NewDefinedVar(inputs.begin(), inputs.size());
+    }
+    uint32_t NewDefinedVar(const std::vector<Lit> &inputs)
+    {
+        return NewDefinedVar(inputs.data(), inputs.size());
+    }
+
+    /**
+     * Add a clause (disjunction of literals); its variables become cone
+     * roots of every later call. Returns false if the clause set is
+     * already unsatisfiable (empty clause / conflicting units).
+     */
+    bool
+    AddClause(std::vector<Lit> lits)
+    {
+        return InsertClause(std::move(lits), /*root=*/true);
+    }
+
+    /**
+     * Add a clause of a definition: over one defined variable and its
+     * inputs only. Unlike AddClause it roots nothing. Same return value.
+     */
+    bool
+    AddDefClause(std::vector<Lit> lits)
+    {
+        return InsertClause(std::move(lits), /*root=*/false);
+    }
     bool AddUnit(Lit a) { return AddClause({a}); }
     bool AddBinary(Lit a, Lit b) { return AddClause({a, b}); }
     bool AddTernary(Lit a, Lit b, Lit c) { return AddClause({a, b, c}); }
@@ -140,15 +236,17 @@ class SatSolver
      * excluding every group representative excludes every group
      * exactly; singleton groups are represented by their own literal.
      * Each round solves under the caller's assumptions plus a throwaway
-     * selector forcing some pending representative true; a SAT round
-     * marks every pending group the model happens to satisfy (phase
-     * saving keeps earlier groups true, so rounds typically answer many
-     * groups), an UNSAT round proves every remaining group kUnsat, and
+     * selector forcing some pending representative true (the selector
+     * is defined over the pending representatives, so every pending
+     * group is in the round's cone); a SAT round marks every pending
+     * group the model happens to satisfy (phase saving keeps earlier
+     * groups true, so rounds typically answer many groups), an UNSAT
+     * round proves every remaining group kUnsat, and
      * budget exhaustion (`max_conflicts` spent across rounds) leaves
      * the rest kUnknown -- never a wrong verdict. Selectors are retired
-     * with a unit after each round; all added clauses are
-     * satisfiability-preserving (any model extends by setting the fresh
-     * variables accordingly), so later Solve calls are unaffected.
+     * with a unit after each round; all added clauses are definitions
+     * (any model extends by setting the fresh variables accordingly), so
+     * later Solve calls are unaffected.
      *
      * No unsat core is reported (a per-group refutation has no single
      * core); unsat_core() is empty after this call.
@@ -214,7 +312,10 @@ class SatSolver
     SetVarShared(uint32_t var, bool shared)
     {
         ACHILLES_CHECK(var < NumVars());
-        var_shared_[var] = shared ? 1 : 0;
+        if (shared)
+            var_flags_[var] |= kVarShared;
+        else
+            var_flags_[var] &= ~kVarShared;
     }
 
     /**
@@ -234,16 +335,21 @@ class SatSolver
     /**
      * Add a clause learned by a sibling solver (an implied clause, so
      * adding it never changes verdicts). Same normalization as
-     * AddClause; resets any kept assumption trail.
+     * AddClause, but, being implied, it roots nothing; resets any kept
+     * assumption trail.
      */
     bool
     ImportClause(std::vector<Lit> lits)
     {
         stats_.Bump("sat.clauses_imported");
-        return AddClause(std::move(lits));
+        return InsertClause(std::move(lits), /*root=*/false);
     }
 
-    /** Model value of a variable (valid after kSat). */
+    /**
+     * Model value of a variable in the cone of the last kSat call (valid
+     * until the next kSat). Any other variable reads an unspecified
+     * value: false if it was never in a model's cone, else stale.
+     */
     bool
     Value(uint32_t var) const
     {
@@ -285,8 +391,12 @@ class SatSolver
     /** Luby restart sequence (1,1,2,1,1,2,4,...), 0-indexed. */
     static int64_t Luby(int64_t i);
 
-    /** Solver statistics (conflicts, decisions, propagations...). */
-    const StatsRegistry &stats() const { return stats_; }
+    /** Cumulative event counts, read without touching the registry. */
+    const SatCounters &counters() const { return counters_; }
+
+    /** Solver statistics ("sat.conflicts", "sat.decisions", ...): the
+     *  counters above under their registry names, plus rare events. */
+    const StatsRegistry &stats() const;
 
   private:
     // Clauses are stored in one arena; a clause is referenced by its
@@ -296,6 +406,11 @@ class SatSolver
     static constexpr ClauseRef kNoClause = 0xffffffffu;
     static constexpr uint32_t kLearntFlag = 0x80000000u;
 
+    // Per-variable flag bits (var_flags_).
+    static constexpr uint8_t kVarShared = 1;  // exportable (SetVarShared)
+    static constexpr uint8_t kVarRoot = 2;    // in an AddClause clause
+    static constexpr uint8_t kVarInCone = 4;  // in the current call's cone
+
     struct Watcher
     {
         ClauseRef cref;
@@ -303,6 +418,12 @@ class SatSolver
     };
 
     LBool LitValue(Lit l) const;
+    uint32_t NewDefinedVar(const Lit *inputs, size_t n);
+    bool InsertClause(std::vector<Lit> lits, bool root);
+    /** Mark the cone of `assumptions` (clearing the previous call's),
+     *  queue its unassigned variables for decision and return how many
+     *  there are. */
+    size_t MarkCone(const std::vector<Lit> &assumptions);
     /** `refute_only`: return kUnknown (instead of branching toward a
      *  model) once every assumption is established conflict-free --
      *  the cheap probe mode deletion-minimization runs, where only a
@@ -398,13 +519,24 @@ class SatSolver
      *  level (levels beyond its size are search decisions). The next
      *  Search keeps the longest prefix matching its own assumptions. */
     std::vector<Lit> assumption_trail_;
-    std::vector<uint8_t> var_shared_;
+    std::vector<uint8_t> var_flags_;
     std::function<void(const std::vector<Lit> &)> export_hook_;
+
+    // Definition inputs, compressed-row style: the inputs of variable v
+    // are def_inputs_[def_[v]] up to the start of v + 1's (or the end);
+    // a variable without a definition has none.
+    std::vector<uint32_t> def_;
+    std::vector<uint32_t> def_inputs_;
+    /** Variables flagged kVarRoot, in flagging order. */
+    std::vector<uint32_t> roots_;
+    /** Variables flagged kVarInCone: the cone of the current call. */
+    std::vector<uint32_t> cone_;
 
     // Conflict analysis scratch.
     std::vector<uint8_t> seen_;
 
-    StatsRegistry stats_;
+    SatCounters counters_;
+    mutable StatsRegistry stats_;
 };
 
 }  // namespace smt

@@ -378,8 +378,7 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
     obs::ScopedSpan span(config_.obs.tracer, config_.obs.lane,
                          "solver.query", "solver");
     const bool obs_on = config_.obs.enabled();
-    const int64_t obs_conflicts_before =
-        obs_on ? stats_.Get("solver.sat_conflicts") : 0;
+    const int64_t obs_conflicts_before = sat_totals_.conflicts;
     const int64_t obs_budget_before =
         obs_on ? stats_.Get("solver.stream_conflicts_spent") : 0;
     const auto finish = [&](CheckResult result) -> CheckResult {
@@ -388,7 +387,7 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
             // and the rolling rates the next classification reads.
             ++stream_queries_;
             stream_conflict_sum_ +=
-                sat_conflicts_total_ - class_conflicts_before;
+                sat_totals_.conflicts - class_conflicts_before;
             if (result.status == CheckStatus::kUnknown) {
                 ++stream_unknowns_;
                 ++class_unknown_ct_[qclass];
@@ -402,7 +401,7 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
             obs_unknowns_.Bump();
         if (obs_on) {
             const int64_t conflicts =
-                stats_.Get("solver.sat_conflicts") - obs_conflicts_before;
+                sat_totals_.conflicts - obs_conflicts_before;
             obs_conflicts_.Record(conflicts);
             span.AddArg("conflicts", conflicts);
             span.AddArg("assertions",
@@ -510,7 +509,7 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
         strategy_storage =
             StrategyFor(static_cast<QueryClass>(qclass), config_.sat_params);
         strategy = &strategy_storage;
-        class_conflicts_before = sat_conflicts_total_;
+        class_conflicts_before = sat_totals_.conflicts;
         ++class_queries_ct_[qclass];
         obs_class_queries_[qclass].Bump();
     }
@@ -695,13 +694,11 @@ Solver::SolveFresh(const std::vector<ExprRef> &live, Model *out_model,
         // portfolio on or off.
         SettleStreamBudget(budget, spent, arm_a_decided);
     }
-    const int64_t fresh_conflicts = sat.stats().Get("sat.conflicts") +
-                                    sat_b.stats().Get("sat.conflicts");
-    stats_.Bump("solver.sat_conflicts", fresh_conflicts);
-    sat_conflicts_total_ += fresh_conflicts;
-    stats_.Bump("solver.sat_decisions",
-                sat.stats().Get("sat.decisions") +
-                    sat_b.stats().Get("sat.decisions"));
+    SatCounters fresh = sat.counters();
+    fresh += sat_b.counters();
+    sat_totals_ += fresh;
+    stats_.Bump("solver.sat_conflicts", fresh.conflicts);
+    stats_.Bump("solver.sat_decisions", fresh.decisions);
 
     switch (status) {
       case SatStatus::kUnsat:
@@ -784,20 +781,6 @@ Solver::InstallFetchedLemmas()
 void
 Solver::EnsureIncrementalBackend()
 {
-    if (inc_ && inc_->sat.NumVars() > config_.incremental_max_vars) {
-        stats_.Bump("solver.incremental_resets");
-        // A deferred standing assignment lives in the instance about to
-        // die; pull it into the rolling model first.
-        RefreshStandingModel();
-        inc_.reset();
-        inc_conflicts_seen_ = 0;
-        inc_decisions_seen_ = 0;
-        inc_trail_reuses_seen_ = 0;
-        // The imported clauses died with the instance; replay the
-        // archive into the rebuilt one as its assertions reappear.
-        for (FetchedLemma &lemma : fetched_lemmas_)
-            lemma.installed = false;
-    }
     if (!inc_) {
         inc_ = std::make_unique<IncrementalBackend>();
         if (config_.clause_sink != nullptr)
@@ -855,16 +838,12 @@ Solver::SyncLemmaExchange(bool new_guards)
 void
 Solver::DrainIncrementalStats()
 {
-    const int64_t conflicts = inc_->sat.stats().Get("sat.conflicts");
-    const int64_t decisions = inc_->sat.stats().Get("sat.decisions");
-    const int64_t reuses = inc_->sat.stats().Get("sat.trail_reuses");
-    stats_.Bump("solver.sat_conflicts", conflicts - inc_conflicts_seen_);
-    sat_conflicts_total_ += conflicts - inc_conflicts_seen_;
-    stats_.Bump("solver.sat_decisions", decisions - inc_decisions_seen_);
-    stats_.Bump("solver.trail_reuses", reuses - inc_trail_reuses_seen_);
-    inc_conflicts_seen_ = conflicts;
-    inc_decisions_seen_ = decisions;
-    inc_trail_reuses_seen_ = reuses;
+    const SatCounters delta = inc_->sat.counters() - inc_seen_;
+    inc_seen_ = inc_->sat.counters();
+    sat_totals_ += delta;
+    stats_.Bump("solver.sat_conflicts", delta.conflicts);
+    stats_.Bump("solver.sat_decisions", delta.decisions);
+    stats_.Bump("solver.trail_reuses", delta.trail_reuses);
 }
 
 CheckStatus
@@ -1019,12 +998,10 @@ Solver::CheckSatBatch(const std::vector<ExprRef> &base,
             new_guards |= GuardAssertions(scratch, &member_lits[k]);
         }
         SyncLemmaExchange(new_guards);
-        const int64_t rounds_before =
-            inc_->sat.stats().Get("sat.batch_rounds");
+        const int64_t rounds_before = inc_->sat.counters().batch_rounds;
         const std::vector<SatStatus> sat_verdicts =
             inc_->sat.SolveBatch(assumptions, member_lits);
-        out.rounds =
-            inc_->sat.stats().Get("sat.batch_rounds") - rounds_before;
+        out.rounds = inc_->sat.counters().batch_rounds - rounds_before;
         DrainIncrementalStats();
 
         bool any_sat = false;
@@ -1050,9 +1027,13 @@ Solver::CheckSatBatch(const std::vector<ExprRef> &base,
             }
         }
         if (config_.retain_models && any_sat) {
-            // The sweep's last SAT round left a full assignment
-            // standing in the persistent instance; defer extraction to
-            // the next StandingModel() read, like any incremental kSat.
+            // Every SAT round left the model of its cone (the base and
+            // the groups pending in that round) in the persistent
+            // instance; defer extraction to the next StandingModel()
+            // read, like any incremental kSat. A group answered by an
+            // earlier round may read values a later round overwrote:
+            // still a concrete assignment, so staleness only lowers
+            // the pre-filter's hit rate.
             standing_live_ = base_live;
             for (size_t k = 0; k < residue.size(); ++k) {
                 if (out.verdicts[residue[k].index] == CheckStatus::kSat) {
@@ -1077,17 +1058,17 @@ Solver::RefreshStandingModel()
 {
     if (standing_live_.empty())
         return;
-    if (inc_) {
-        // Every variable of the pending assertions was blasted before
-        // the kSat that deferred them, so the instance's standing
-        // assignment covers them all.
-        std::unordered_set<uint32_t> vars;
-        for (ExprRef e : standing_live_)
-            ctx_->CollectVars(e, &vars);
-        for (uint32_t id : vars)
-            standing_model_.Set(id, inc_->blaster.VarValueFromModel(id));
-        has_standing_model_ = true;
-    }
+    // The pending assertions were guarded in the kSat that deferred
+    // them, so their variable bits lie in its cone. A later SAT call
+    // (a core-minimization probe answered by solution reuse) may have
+    // overwritten some of them since: still a concrete assignment,
+    // which is all the pre-filter needs.
+    std::unordered_set<uint32_t> vars;
+    for (ExprRef e : standing_live_)
+        ctx_->CollectVars(e, &vars);
+    for (uint32_t id : vars)
+        standing_model_.Set(id, inc_->blaster.VarValueFromModel(id));
+    has_standing_model_ = true;
     standing_live_.clear();
 }
 

@@ -293,17 +293,6 @@ struct SolverConfig
      */
     bool minimize_cores = true;
     /**
-     * Reset threshold for the incremental backend. A SAT verdict must
-     * extend to a full assignment over every variable ever blasted into
-     * the persistent instance, so per-query cost grows with accumulated
-     * CNF; once the instance exceeds this many SAT variables it is
-     * dropped and rebuilt from the next query's expressions. Dense
-     * streams of related queries (the Trojan/match loops) stay far
-     * below the cap between resets; heterogeneous pipeline phases reset
-     * a handful of times instead of dragging dead CNF along.
-     */
-    uint32_t incremental_max_vars = 65536;
-    /**
      * Assumption-prefix trail reuse in the incremental backend: keep
      * the SAT trail segment for the longest common assumption prefix
      * between consecutive solves instead of re-establishing the whole
@@ -515,6 +504,14 @@ class Solver
     }
 
     /**
+     * Event counts summed over every SAT instance this solver ran, fresh
+     * and incremental. Their "solver.sat_conflicts",
+     * "solver.sat_decisions" and "solver.trail_reuses" stats are built
+     * from these, so the two always agree; reading this is free.
+     */
+    const SatCounters &sat_counters() const { return sat_totals_; }
+
+    /**
      * Hint from a knowledge-base consumer (the explorer's PruneIndex
      * probe loop): the upcoming query resembled a stored refutation but
      * was not subsumed by it. The portfolio classifier treats the next
@@ -608,10 +605,10 @@ class Solver
                                  std::vector<uint32_t> *core,
                                  const QueryStrategy *strategy = nullptr);
 
-    /** Reset-or-build the persistent incremental instance: drops it
-     *  past incremental_max_vars (flushing the standing model first --
-     *  the SAT assignment dies with the instance) and (re)creates it
-     *  with the lemma-export hook wired. */
+    /** Build the persistent incremental instance on first use, with
+     *  the lemma-export hook wired. It lives as long as the solver: a
+     *  query decides only its own cone (see SatSolver), so CNF that
+     *  earlier queries left behind costs memory, not search time. */
     void EnsureIncrementalBackend();
     /** Guard every assertion of `live` in the incremental backend,
      *  appending one activation literal each to `assumptions` and
@@ -626,8 +623,7 @@ class Solver
      *  solver's stats as deltas since the last fold. */
     void DrainIncrementalStats();
     /** Merge a deferred incremental-path kSat assignment into the
-     *  rolling standing model. Must run before the backend that holds
-     *  the assignment is dropped; no-op when nothing is pending. */
+     *  rolling standing model; no-op when nothing is pending. */
     void RefreshStandingModel();
 
     /** Conflict budget for the next fresh-instance solve: the stream
@@ -650,13 +646,10 @@ class Solver
     std::unordered_map<std::vector<ExprRef>, CacheEntry, AssertionsHash>
         cache_;
     std::unique_ptr<IncrementalBackend> inc_;
-    int64_t inc_conflicts_seen_ = 0;
-    int64_t inc_decisions_seen_ = 0;
-    int64_t inc_trail_reuses_seen_ = 0;
-    /** Lemmas fetched from the clause source. Kept for the lifetime of
-     *  the solver: an incremental-backend reset drops the clauses, so
-     *  uninstalled flags are cleared and the archive replays into the
-     *  rebuilt instance as its assertions reappear. */
+    /** The incremental instance's counters at the last drain. */
+    SatCounters inc_seen_;
+    /** Lemmas fetched from the clause source, each installed once all
+     *  the assertions it names are guarded in the incremental backend. */
     struct FetchedLemma
     {
         std::vector<LemmaFingerprint> fps;
@@ -692,10 +685,9 @@ class Solver
      *  terms across the whole query stream, so classification decays
      *  to one hash lookup per root instead of a DAG walk per query. */
     DepthMemo depth_memo_;
-    /** Plain shadow of the "solver.sat_conflicts" stat, bumped at the
-     *  same two sites, so the per-query dispatch accounting never pays
-     *  a string-keyed map lookup on the hot path. */
-    int64_t sat_conflicts_total_ = 0;
+    /** Counters summed over every SAT instance this solver ran (see
+     *  sat_counters()). */
+    SatCounters sat_totals_;
     /** Per-class dispatch tallies accumulate in these plain arrays --
      *  the string keys ("solver.class_queries/..." etc.) are past the
      *  small-string optimization, so bumping the registry per query

@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
 #include <set>
+#include <thread>
 
 #include "core/path_predicate.h"
 #include "exec/expr_transfer.h"
@@ -417,6 +419,50 @@ TEST(SchedulerTest, FreshPushRespectsStateBudget)
     ASSERT_NE(s3, nullptr);  // rejected state stays with the caller
     // Re-queues are exempt (the state was already admitted once).
     EXPECT_TRUE(scheduler.Push(0, &s3, false));
+}
+
+TEST(SchedulerTest, ConcurrentPushesNeverSeeAnUnderflowedQueue)
+{
+    // Two producers push fresh states into worker 0's deque while worker
+    // 0 pops them. The budget is far out of reach, so every push must be
+    // admitted. A queued-state count that a pop could decrement before
+    // the push had incremented it wrapped below zero for a moment and
+    // made a concurrent push fail the budget check (the intermittent
+    // path loss of ClientModeMatchesSerialEngine below).
+    ProgramBuilder b("prog");
+    b.Function("main", {}, 0, [&] { b.Halt(); });
+    const Program program = b.Build();
+
+    SchedulerConfig config;
+    config.num_workers = 1;
+    WorkStealingScheduler scheduler(config);
+    constexpr int kPerProducer = 50000;
+    std::atomic<int> rejected{0};
+    const auto produce = [&] {
+        for (int i = 0; i < kPerProducer; ++i) {
+            auto state = std::make_unique<State>(i, &program);
+            if (!scheduler.Push(0, &state, /*fresh=*/true))
+                rejected.fetch_add(1);
+        }
+    };
+    std::thread p1(produce);
+    std::thread p2(produce);
+    int consumed = 0;
+    WorkStealingScheduler::Batch batch;
+    while (consumed + rejected.load() < 2 * kPerProducer) {
+        // Next() returns false whenever every pushed state has been
+        // consumed so far; the producers may still be running.
+        if (!scheduler.Next(0, &batch))
+            continue;
+        consumed += static_cast<int>(batch.states.size());
+        for (size_t i = 0; i < batch.states.size(); ++i)
+            scheduler.OnStateFinished();
+    }
+    p1.join();
+    p2.join();
+    EXPECT_EQ(rejected.load(), 0);
+    EXPECT_EQ(consumed, 2 * kPerProducer);
+    EXPECT_EQ(scheduler.queued(), 0u);
 }
 
 // ------------------------------------------------------- parallel engine

@@ -233,23 +233,6 @@ TEST_F(IncrementalSolverTest, RandomStreamsAgreeWithFreshInstances)
     EXPECT_GE(solver.stats().Get("solver.incremental_sat_calls"), 1);
 }
 
-TEST_F(IncrementalSolverTest, BackendResetsWhenOversized)
-{
-    SolverConfig config;
-    config.incremental_max_vars = 64;  // tiny: force resets
-    config.enable_cache = false;
-    Solver small(&ctx, config);
-    ExprRef x = ctx.FreshVar("w", 16);
-    for (uint64_t i = 0; i < 20; ++i) {
-        // Distinct multiplications keep adding fresh CNF.
-        EXPECT_EQ(small.CheckSat({ctx.MakeEq(
-                      ctx.MakeMul(x, ctx.MakeConst(16, 2 * i + 3)),
-                      ctx.MakeConst(16, 9 * i + 1))}),
-                  CheckResult::kSat);
-    }
-    EXPECT_GE(small.stats().Get("solver.incremental_resets"), 1);
-}
-
 // ----------------------------------------------------------------- SAT
 
 TEST(SatIncrementalTest, SolutionReuseAcrossAssumptionSets)

@@ -6,14 +6,16 @@
 // of unspent conflicts, explorer no-drop contract), the cross-worker
 // learned-clause exchange (pool semantics, lemma transfer between
 // solvers, verdict stability, witness determinism at 1/2/4/8 workers
-// with the exchange on and off), and interval-checker core attribution
+// with the exchange on and off), interval-checker core attribution
 // (sound bound-pair cores restoring the interval fast path on the
-// core-producing path).
+// core-producing path), and the parity of the typed SAT counters with
+// their registry values.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -215,6 +217,122 @@ TEST(StreamBudgetTest, CarryForwardDecidesLateHardQuery)
                   CheckResult::kSat);
     }
     EXPECT_EQ(warm.CheckSat(hard), CheckResult::kUnsat);
+}
+
+// --------------------------------------------- counter parity
+
+/** Every SatCounters field equals its registry value under the name
+ *  the stats have always used. */
+void
+ExpectSatCounterParity(const SatSolver &sat)
+{
+    const smt::SatCounters c = sat.counters();
+    const StatsRegistry &stats = sat.stats();
+    const std::pair<const char *, int64_t> fields[] = {
+        {"sat.solve_calls", c.solve_calls},
+        {"sat.decisions", c.decisions},
+        {"sat.propagations", c.propagations},
+        {"sat.conflicts", c.conflicts},
+        {"sat.learnt_clauses", c.learnt_clauses},
+        {"sat.restarts", c.restarts},
+        {"sat.budget_exhausted", c.budget_exhausted},
+        {"sat.solution_reuses", c.solution_reuses},
+        {"sat.trail_reuses", c.trail_reuses},
+        {"sat.trail_levels_reused", c.trail_levels_reused},
+        {"sat.core_minimize_probes", c.core_minimize_probes},
+        {"sat.batch_solves", c.batch_solves},
+        {"sat.batch_rounds", c.batch_rounds},
+    };
+    for (const auto &[key, value] : fields)
+        EXPECT_EQ(stats.Get(key), value) << key;
+}
+
+/**
+ * A fixed query stream through a SatSolver and a facade Solver (shared
+ * prefixes, hard refutations, model-producing queries), checking after
+ * every query that the typed counters equal the flushed registry
+ * values. Returns the facade's final SAT counters.
+ */
+smt::SatCounters
+RunCounterParityStream()
+{
+    Rng rng(0xc0ffee);
+    SatSolver sat;
+    sat.SetMinimizeCore(true);
+    constexpr int kVars = 16;
+    for (int i = 0; i < kVars; ++i)
+        sat.NewVar();
+    for (int c = 0; c < 48; ++c) {
+        std::vector<Lit> clause;
+        const size_t len = 2 + rng.Below(2);
+        for (size_t k = 0; k < len; ++k)
+            clause.emplace_back(rng.Below(kVars), rng.Chance(0.5));
+        sat.AddClause(clause);
+    }
+    for (int q = 0; q < 60; ++q) {
+        std::vector<Lit> assumptions;
+        const size_t len = rng.Below(6);
+        for (size_t k = 0; k < len; ++k)
+            assumptions.emplace_back(rng.Below(kVars), rng.Chance(0.5));
+        if (q % 10 == 9)
+            sat.SolveBatch(assumptions, {{Lit(0, false)}, {Lit(1, true)}});
+        else
+            sat.Solve(assumptions, q % 7 == 6 ? 1 : -1);
+        ExpectSatCounterParity(sat);
+    }
+
+    ExprContext ctx;
+    SolverConfig config;
+    config.enable_cache = false;
+    Solver solver(&ctx, config);
+    std::vector<ExprRef> bytes;
+    for (int i = 0; i < 6; ++i)
+        bytes.push_back(ctx.FreshVar("m", 8));
+    std::vector<ExprRef> prefix;
+    for (ExprRef b : bytes)
+        prefix.push_back(ctx.MakeUlt(b, ctx.MakeConst(8, 200)));
+    const auto expect_parity = [&solver] {
+        const smt::SatCounters &c = solver.sat_counters();
+        EXPECT_EQ(solver.stats().Get("solver.sat_conflicts"), c.conflicts);
+        EXPECT_EQ(solver.stats().Get("solver.sat_decisions"), c.decisions);
+        EXPECT_EQ(solver.stats().Get("solver.trail_reuses"),
+                  c.trail_reuses);
+    };
+    for (int q = 0; q < 40; ++q) {
+        const ExprRef probe = ctx.MakeNe(
+            bytes[rng.Below(bytes.size())], ctx.MakeConst(8, rng.Below(250)));
+        if (q % 8 == 7) {
+            solver.CheckSat(HardUnsatQuery(&ctx));
+        } else if (q % 5 == 4) {
+            Model model;
+            solver.CheckSatAssuming(prefix, {probe}, &model);
+        } else {
+            solver.CheckSatAssuming(prefix, {probe});
+        }
+        expect_parity();
+    }
+    EXPECT_GT(solver.sat_counters().conflicts, 0);
+    EXPECT_GT(solver.sat_counters().trail_reuses, 0);
+    return solver.sat_counters();
+}
+
+TEST(CounterParityTest, TypedCountersMatchRegistryAtOneAndFourWorkers)
+{
+    const smt::SatCounters serial = RunCounterParityStream();
+    // Four workers run the same stream on their own solvers at once:
+    // the counters are per instance, so each matches its registry and
+    // all four agree with the serial run.
+    std::vector<smt::SatCounters> parallel(4);
+    std::vector<std::thread> workers;
+    for (smt::SatCounters &out : parallel)
+        workers.emplace_back([&out] { out = RunCounterParityStream(); });
+    for (std::thread &t : workers)
+        t.join();
+    for (const smt::SatCounters &c : parallel) {
+        EXPECT_EQ(c.conflicts, serial.conflicts);
+        EXPECT_EQ(c.decisions, serial.decisions);
+        EXPECT_EQ(c.trail_reuses, serial.trail_reuses);
+    }
 }
 
 // --------------------------------------------- clause exchange
