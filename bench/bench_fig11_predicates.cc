@@ -11,9 +11,7 @@
 // Ablation grids (both self-gating on witness identity and query
 // counts, both emitting JSON for the CI trend gate):
 //   --cores        unsat-core-guided predicate dropping on/off
-//   --prune-index  the shared pruning knowledge base (cross-state
-//                  Trojan-core subsumption + differentFrom overlay)
-//                  on/off
+//   --prune-index  the shared differentFrom overlay on/off
 //   --batch        concrete pre-filtering against the solver's standing
 //                  model + the batched all-sat sweep over the match
 //                  stream, both toggles on/off together
@@ -44,7 +42,6 @@ struct ComparePoint
 {
     int64_t solver_queries = 0;  ///< match + Trojan queries issued
     int64_t core_drops = 0;      ///< match queries skipped via cores
-    int64_t trojan_subsumed = 0; ///< Trojan queries skipped via cores
     std::vector<WitnessSummary> witnesses;
 };
 
@@ -83,8 +80,6 @@ RunComparePoint(const std::vector<const symexec::Program *> &clients,
         result.server.stats.Get("explorer.match_queries") +
         result.server.stats.Get("explorer.trojan_queries");
     point.core_drops = result.server.stats.Get("explorer.core_drops");
-    point.trojan_subsumed =
-        result.server.stats.Get("explorer.trojan_core_subsumed");
     core::CanonicalHasher hasher(&ctx);
     for (const core::TrojanWitness &t : result.server.trojans) {
         point.witnesses.emplace_back(t.accept_label, t.concrete,
@@ -95,15 +90,13 @@ RunComparePoint(const std::vector<const symexec::Program *> &clients,
 }
 
 /**
- * One pipeline run for the --prune-index ablation: the shared pruning
- * knowledge base (cross-state Trojan-core subsumption + differentFrom
- * overlay) toggled at the explorer while cores and the static matrix
- * stay on (production config).
+ * One pipeline run for the --prune-index ablation: the shared
+ * differentFrom overlay toggled at the explorer while cores and the
+ * static matrix stay on (production config).
  */
 struct PrunePoint
 {
     int64_t solver_queries = 0;   ///< match + Trojan queries issued
-    int64_t trojan_subsumed = 0;  ///< Trojan queries skipped via index
     int64_t overlay_drops = 0;    ///< match queries skipped via overlay
     int64_t cross_hits = 0;       ///< hits on another worker's entry
     std::vector<WitnessSummary> witnesses;
@@ -131,8 +124,6 @@ RunPrunePoint(const std::vector<const symexec::Program *> &clients,
     point.solver_queries =
         result.server.stats.Get("explorer.match_queries") +
         result.server.stats.Get("explorer.trojan_queries");
-    point.trojan_subsumed =
-        result.server.stats.Get("explorer.trojan_core_subsumed");
     point.overlay_drops =
         result.server.stats.Get("explorer.overlay_drops");
     point.cross_hits =
@@ -147,18 +138,17 @@ RunPrunePoint(const std::vector<const symexec::Program *> &clients,
 }
 
 /**
- * The --prune-index comparison: the unified pruning knowledge base must
- * reduce solver queries on the FSP Trojan stream (the overlay skips
- * repeat predicate-match refutations) and on the guarded protocol (the
- * cross-state Trojan-core index subsumes sibling regions' dead states),
- * with bitwise-identical witness sets at every worker count in both
- * configurations.
+ * The --prune-index comparison: the differentFrom overlay must reduce
+ * solver queries on the FSP Trojan stream and on the guarded protocol
+ * (in both, runtime single-field cores skip repeat predicate-match
+ * refutations), with bitwise-identical witness sets at every worker
+ * count in both configurations.
  */
 bool
 RunPruneIndexComparison(size_t num_clients)
 {
     bench::Header("PruneIndex -- solver queries with/without the shared "
-                  "pruning knowledge base");
+                  "differentFrom overlay");
     const std::vector<size_t> worker_counts{1, 2, 4, 8};
     bool witnesses_identical = true;
     bool never_more = true;      // <= everywhere (hits only skip work)
@@ -191,16 +181,16 @@ RunPruneIndexComparison(size_t num_clients)
         {"FSP (overlay: runtime single-field cores densify "
          "differentFrom)",
          "fsp", &fsp_client_ptrs, &fsp_server, &fsp_layout},
-        {"guarded protocol (cross-state Trojan cores: sibling regions' "
-         "dead states subsume each other)",
+        {"guarded protocol (overlay only: sibling regions repeat the "
+         "same single-field refutations)",
          "guarded", &guarded_clients, &guarded_server, &guarded_layout},
     };
 
     for (const Section &section : sections) {
         bench::Section(section.title);
-        std::printf("  %8s %12s %12s %11s %9s %9s %7s\n", "workers",
+        std::printf("  %8s %12s %12s %11s %9s %7s\n", "workers",
                     "q(no-index)", "q(index)", "reduction", "overlay",
-                    "subsumed", "cross");
+                    "cross");
         for (size_t w : worker_counts) {
             const PrunePoint off = RunPrunePoint(
                 *section.clients, section.server, *section.layout, w,
@@ -222,11 +212,10 @@ RunPruneIndexComparison(size_t num_clients)
                                               on.overlay_drops)
                     : 0.0;
             std::printf(
-                "  %8zu %12lld %12lld %10.1f%% %9lld %9lld %7lld\n", w,
+                "  %8zu %12lld %12lld %10.1f%% %9lld %7lld\n", w,
                 static_cast<long long>(off.solver_queries),
                 static_cast<long long>(on.solver_queries), reduction,
                 static_cast<long long>(on.overlay_drops),
-                static_cast<long long>(on.trojan_subsumed),
                 static_cast<long long>(on.cross_hits));
             witnesses_identical &= on.witnesses == off.witnesses;
             never_more &= on.solver_queries <= off.solver_queries;
@@ -579,9 +568,8 @@ RunCoreComparison(size_t num_clients)
 
     for (const Section &section : sections) {
         bench::Section(section.title);
-        std::printf("  %8s %12s %12s %11s %10s %9s\n", "workers",
-                    "q(no-cores)", "q(cores)", "reduction", "core-drop",
-                    "subsumed");
+        std::printf("  %8s %12s %12s %11s %10s\n", "workers",
+                    "q(no-cores)", "q(cores)", "reduction", "core-drop");
         for (size_t w : worker_counts) {
             const ComparePoint off = RunComparePoint(
                 *section.clients, section.server, *section.layout, w,
@@ -596,12 +584,11 @@ RunCoreComparison(size_t num_clients)
                                               on.solver_queries) /
                           static_cast<double>(off.solver_queries)
                     : 0.0;
-            std::printf("  %8zu %12lld %12lld %10.1f%% %10lld %9lld\n", w,
+            std::printf("  %8zu %12lld %12lld %10.1f%% %10lld\n", w,
                         static_cast<long long>(off.solver_queries),
                         static_cast<long long>(on.solver_queries),
                         reduction,
-                        static_cast<long long>(on.core_drops),
-                        static_cast<long long>(on.trojan_subsumed));
+                        static_cast<long long>(on.core_drops));
             witnesses_identical &= on.witnesses == off.witnesses;
             *section.gate &=
                 section.strict

@@ -8,10 +8,9 @@
 // comparison runs on the shared-prefix Trojan-query workload (phase 2's
 // dominant query shape: one pathS prefix, many ¬pathC_i iterated
 // against it) whenever `--compare-incremental` or `--json <path>` is on
-// the command line, `--trail-reuse` adds the assumption-trail-reuse
-// ablation on the same stream, and `--portfolio` the query-class
-// dispatch ablation (plus its budgeted racing slice); their metrics
-// feed the perf-trajectory artifacts CI collects.
+// the command line, and `--trail-reuse` adds the assumption-trail-reuse
+// ablation on the same stream; their metrics feed the perf-trajectory
+// artifacts CI collects.
 
 #include <benchmark/benchmark.h>
 
@@ -200,12 +199,6 @@ struct TrojanWorkload
      *  mixes kUnsat answers (and, with cores on, extractions) in the
      *  proportion the explorer's match loop sees. */
     std::vector<ExprRef> match_probes;
-    /** Interval-opaque refutations for the portfolio ablation: xor
-     *  parity contradictions keep every byte's range full, so the
-     *  bounds pre-check cannot refute them and the kUnsat reaches the
-     *  SAT backend with a core -- the query population whose
-     *  deletion-minimization probes the shallow preset skips. */
-    std::vector<std::vector<ExprRef>> hard_probes;
 };
 
 /** Phase-2 query shape: pathS over 16 message bytes, 96 predicate
@@ -256,32 +249,6 @@ MakeTrojanWorkload()
         w->match_probes.push_back(
             ctx.MakeEq(bytes[i], ctx.MakeConst(8, 250)));
 
-    // Xor triangles: (x^y) ^ (y^z) ^ (x^z) == 0 identically, so pinning
-    // the three pairwise xors to constants that xor to nonzero is
-    // unsatisfiable -- across all three assumptions, and with every
-    // byte keeping its full range. The interval walk proves nothing,
-    // the refutation runs on the SAT backend, and the resulting
-    // 3-assumption core is above the minimizer's size threshold, so
-    // the baseline arm pays deletion probes the shallow preset skips.
-    for (int k = 0; k < 96; ++k) {
-        const size_t i = rng.Below(bytes.size());
-        size_t j = rng.Below(bytes.size());
-        while (j == i)
-            j = rng.Below(bytes.size());
-        size_t l = rng.Below(bytes.size());
-        while (l == i || l == j)
-            l = rng.Below(bytes.size());
-        const uint64_t c1 = rng.Below(256);
-        const uint64_t c2 = rng.Below(256);
-        const uint64_t c3 = (c1 ^ c2) ^ (1 + rng.Below(255));
-        w->hard_probes.push_back(
-            {ctx.MakeEq(ctx.MakeXor(bytes[i], bytes[j]),
-                        ctx.MakeConst(8, c1)),
-             ctx.MakeEq(ctx.MakeXor(bytes[j], bytes[l]),
-                        ctx.MakeConst(8, c2)),
-             ctx.MakeEq(ctx.MakeXor(bytes[i], bytes[l]),
-                        ctx.MakeConst(8, c3))});
-    }
     return w;
 }
 
@@ -430,153 +397,6 @@ CompareTrailReuse()
     return agree;
 }
 
-/** Per-class and racing counters surfaced next to the timings. */
-struct PortfolioStats
-{
-    int64_t class_queries[kNumQueryClasses] = {0, 0, 0, 0};
-    int64_t class_decided[kNumQueryClasses] = {0, 0, 0, 0};
-    int64_t race_attempts = 0;
-    int64_t race_wins = 0;
-};
-
-double
-RunPortfolioStream(TrojanWorkload *w, bool portfolio, bool budgeted,
-                   std::vector<CheckStatus> *results,
-                   PortfolioStats *pstats)
-{
-    SolverConfig config;
-    config.enable_cache = false;  // isolate the dispatch, not the memo
-    config.portfolio = portfolio;
-    if (budgeted) {
-        // Starved stream budget: plenty of kUnknown answers, so the
-        // rolling unknown-rate feature reroutes the stream into the
-        // straggler (racing) class.
-        config.stream_budget.base = 4;
-        config.stream_budget.decay = 1.0;
-        config.stream_budget.floor = 0;
-        config.stream_budget.carry = 0.0;
-    }
-    Solver solver(&w->ctx, config);
-    results->clear();
-    Timer timer;
-    for (const std::vector<ExprRef> &prefix : w->prefixes) {
-        for (ExprRef neg : w->negations)
-            results->push_back(
-                solver.CheckSatAssuming(prefix, {neg}).status);
-        for (ExprRef probe : w->match_probes)
-            results->push_back(
-                solver.CheckSatAssuming(prefix, {probe}).status);
-    }
-    // The hard slice runs against a shallow prefix so it lands in the
-    // class whose preset actually diverges from the baseline (deep
-    // queries minimize cores on both arms).
-    const std::vector<ExprRef> &hard_prefix =
-        w->prefixes[std::min<size_t>(2, w->prefixes.size() - 1)];
-    for (const std::vector<ExprRef> &hard : w->hard_probes)
-        results->push_back(
-            solver.CheckSatAssuming(hard_prefix, hard).status);
-    const double seconds = timer.Seconds();
-    if (pstats != nullptr) {
-        for (int c = 0; c < kNumQueryClasses; ++c) {
-            const std::string suffix =
-                std::string("/") +
-                QueryClassName(static_cast<QueryClass>(c));
-            pstats->class_queries[c] =
-                solver.stats().Get("solver.class_queries" + suffix);
-            pstats->class_decided[c] =
-                solver.stats().Get("solver.class_decided" + suffix);
-        }
-        pstats->race_attempts = solver.stats().Get("solver.race_attempts");
-        pstats->race_wins = solver.stats().Get("solver.race_wins");
-    }
-    return seconds;
-}
-
-/**
- * Portfolio ablation: class-dispatched strategies vs the uniform
- * default on the same stream. Unbudgeted verdicts must be identical
- * (every preset is a complete search); the budgeted racing slice must
- * be compatible -- racing may only upgrade a kUnknown, never disagree
- * with a decided baseline verdict.
- */
-bool
-ComparePortfolio()
-{
-    bench::Header("Portfolio query-class dispatch vs uniform strategy "
-                  "(shared-prefix Trojan stream)");
-    std::unique_ptr<TrojanWorkload> w = MakeTrojanWorkload();
-    std::vector<CheckStatus> off_results, on_results;
-    // Warm once to stabilize allocator state, then measure with
-    // interleaved off/on repetitions, taking the min per arm: a
-    // single-shot off-then-on pass confounds the dispatch delta with
-    // allocator state and scheduler drift, which on a shared box can
-    // dwarf the effect under test. Verdict agreement is re-checked on
-    // every repetition.
-    RunPortfolioStream(w.get(), /*portfolio=*/false, /*budgeted=*/false,
-                       &off_results, nullptr);
-    constexpr int kReps = 5;
-    double off_s = 0.0, on_s = 0.0;
-    PortfolioStats pstats;
-    bool agree = true;
-    for (int rep = 0; rep < kReps; ++rep) {
-        const double off =
-            RunPortfolioStream(w.get(), /*portfolio=*/false,
-                               /*budgeted=*/false, &off_results,
-                               nullptr);
-        const double on =
-            RunPortfolioStream(w.get(), /*portfolio=*/true,
-                               /*budgeted=*/false, &on_results,
-                               &pstats);
-        off_s = rep == 0 ? off : std::min(off_s, off);
-        on_s = rep == 0 ? on : std::min(on_s, on);
-        agree = agree && off_results == on_results;
-    }
-
-    bench::Metric("smt.portfolio_off_seconds", off_s, "s");
-    bench::Metric("smt.portfolio_seconds", on_s, "s");
-    bench::Metric("smt.portfolio_speedup",
-                  on_s > 0 ? off_s / on_s : 0.0, "x");
-    bench::Metric("smt.portfolio_results_identical", agree ? 1 : 0);
-    for (int c = 0; c < kNumQueryClasses; ++c) {
-        if (pstats.class_queries[c] == 0)
-            continue;
-        bench::Metric(
-            std::string("smt.portfolio_win_rate/") +
-                QueryClassName(static_cast<QueryClass>(c)),
-            static_cast<double>(pstats.class_decided[c]) /
-                static_cast<double>(pstats.class_queries[c]));
-    }
-    if (!agree)
-        std::printf("  ERROR: portfolio verdicts diverged\n");
-
-    // Budgeted racing slice: kUnknown conservatism must survive racing.
-    std::vector<CheckStatus> budget_off, budget_on;
-    RunPortfolioStream(w.get(), /*portfolio=*/false, /*budgeted=*/true,
-                       &budget_off, nullptr);
-    PortfolioStats rstats;
-    RunPortfolioStream(w.get(), /*portfolio=*/true, /*budgeted=*/true,
-                       &budget_on, &rstats);
-    bool compatible = budget_off.size() == budget_on.size();
-    size_t upgrades = 0;
-    for (size_t i = 0; compatible && i < budget_off.size(); ++i) {
-        if (budget_on[i] == budget_off[i])
-            continue;
-        // Divergence is only legal as a kUnknown -> decided upgrade.
-        compatible = budget_off[i] == CheckStatus::kUnknown;
-        ++upgrades;
-    }
-    bench::Metric("smt.race_attempts",
-                  static_cast<double>(rstats.race_attempts));
-    bench::Metric("smt.race_wins",
-                  static_cast<double>(rstats.race_wins));
-    bench::Metric("smt.race_upgrades", static_cast<double>(upgrades));
-    bench::Metric("smt.portfolio_budgeted_compatible",
-                  compatible ? 1 : 0);
-    if (!compatible)
-        std::printf("  ERROR: racing flipped a decided verdict\n");
-    return agree && compatible;
-}
-
 bool
 CompareIncrementalVsFresh(bool with_cores)
 {
@@ -644,7 +464,6 @@ main(int argc, char **argv)
     bool compare = false;
     bool with_cores = true;
     bool trail_reuse = false;
-    bool portfolio = false;
     // Strip harness-only flags before handing argv to Google Benchmark.
     std::vector<char *> gbench_argv{argv[0]};
     for (int i = 1; i < argc; ++i) {
@@ -659,8 +478,6 @@ main(int argc, char **argv)
             with_cores = false;
         } else if (std::strcmp(argv[i], "--trail-reuse") == 0) {
             trail_reuse = true;
-        } else if (std::strcmp(argv[i], "--portfolio") == 0) {
-            portfolio = true;
         } else {
             gbench_argv.push_back(argv[i]);
         }
@@ -669,8 +486,6 @@ main(int argc, char **argv)
     bool agree = compare ? CompareIncrementalVsFresh(with_cores) : true;
     if (trail_reuse)
         agree &= CompareTrailReuse();
-    if (portfolio)
-        agree &= ComparePortfolio();
 
     int gbench_argc = static_cast<int>(gbench_argv.size());
     benchmark::Initialize(&gbench_argc, gbench_argv.data());

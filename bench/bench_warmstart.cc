@@ -164,8 +164,9 @@ main(int argc, char **argv)
     }
 
     bench::Header("Warm-start knowledge persistence (cold vs warm runs)");
-    bench::Note("snapshot = prune index + lemma pool + query cache; "
-                "restored facts only skip queries they already answer");
+    bench::Note("snapshot = differentFrom overlay + lemma pool + query "
+                "cache; restored facts only skip queries they already "
+                "answer");
 
     const size_t worker_counts[] = {1, 2, 4, 8};
     bool witnesses_identical = true;
@@ -219,10 +220,9 @@ main(int argc, char **argv)
                          error.c_str());
             return 1;
         }
-        std::printf("  snapshot: %zu entries (%zu cores, %zu overlay, "
-                    "%zu query cores, %zu lemmas, %zu queries)\n",
-                    warm.TotalEntries(), warm.cores.size(),
-                    warm.overlay.size(), warm.query_cores.size(),
+        std::printf("  snapshot: %zu entries (%zu overlay, %zu lemmas, "
+                    "%zu queries)\n",
+                    warm.TotalEntries(), warm.overlay.size(),
                     warm.lemmas.size(), warm.queries.size());
 
         std::printf("  %-9s %10s %10s %10s %10s %8s\n", "workers",

@@ -226,45 +226,59 @@ class BatchMetricsTest(unittest.TestCase):
         self.assertIn("one-sided", out)
 
 
-class PortfolioMetricsTest(unittest.TestCase):
-    def test_corpus_portfolio_speedup_drop_fails(self):
+class PatternMatchingTest(unittest.TestCase):
+    def test_exact_speedup_drop_fails(self):
         code, out = run_gate(
-            current=[{"metric": "corpus.portfolio_speedup",
+            current=[{"metric": "smt.trail_reuse_speedup",
                       "value": 0.9}],
-            baseline=[{"metric": "corpus.portfolio_speedup",
+            baseline=[{"metric": "smt.trail_reuse_speedup",
                        "value": 1.4}])
         self.assertEqual(code, 1, out)
-        self.assertIn("corpus.portfolio_speedup", out)
+        self.assertIn("smt.trail_reuse_speedup", out)
 
-    def test_per_worker_portfolio_timings_are_not_watched(self):
-        # The multi-worker grid cells are determinism checks whose
-        # timings are scheduler-dominated on small slices; the bench
-        # does not emit per-worker speedup records, and a stray one
+    def test_suffixed_name_of_exact_pattern_is_not_watched(self):
+        # An exact pattern watches only its own name: a per-cell record
+        # sharing the prefix (bench_warmstart's per-scenario speedups)
         # must not be gated.
         code, out = run_gate(
-            current=[{"metric": "corpus.portfolio_speedup/workers=4",
+            current=[{"metric": "warmstart.speedup/fsp/workers=4",
                       "value": 0.8}],
-            baseline=[{"metric": "corpus.portfolio_speedup/workers=4",
+            baseline=[{"metric": "warmstart.speedup/fsp/workers=4",
                        "value": 1.3}])
         self.assertEqual(code, 0, out)
 
-    def test_win_rate_drop_fails(self):
+    def test_wildcard_rate_drop_fails(self):
         code, out = run_gate(
-            current=[{"metric": "smt.portfolio_win_rate/deep",
-                      "value": 0.3}],
-            baseline=[{"metric": "smt.portfolio_win_rate/deep",
-                       "value": 0.9}])
+            current=[{"metric": "fig11.overlay_hit_rate/fsp/workers=1",
+                      "value": 3.0}],
+            baseline=[{"metric": "fig11.overlay_hit_rate/fsp/workers=1",
+                       "value": 9.0}])
         self.assertEqual(code, 1, out)
-        self.assertIn("smt.portfolio_win_rate", out)
+        self.assertIn("fig11.overlay_hit_rate", out)
 
-    def test_portfolio_metrics_absent_from_baseline_are_warn_only(self):
-        # A baseline artifact that predates the --portfolio ablation
-        # must not fail the gate: the comparison is one-sided.
+    def test_prune_index_reduction_is_watched_on_fsp_only(self):
+        # The guarded section's reduction measured a store that no
+        # longer exists; only the FSP section is gated.
+        fsp = "fig11.prune_index_query_reduction_pct/fsp/workers=1"
+        guarded = "fig11.prune_index_query_reduction_pct/guarded/workers=1"
+        code, out = run_gate(
+            current=[{"metric": guarded, "value": 27.9}],
+            baseline=[{"metric": guarded, "value": 38.8}])
+        self.assertEqual(code, 0, out)
+        code, out = run_gate(
+            current=[{"metric": fsp, "value": 5.0}],
+            baseline=[{"metric": fsp, "value": 10.0}])
+        self.assertEqual(code, 1, out)
+        self.assertIn(fsp, out)
+
+    def test_metrics_absent_from_baseline_are_warn_only(self):
+        # A baseline artifact that predates a watched metric must not
+        # fail the gate: the comparison is one-sided.
         code, out = run_gate(
             current=[
-                {"metric": "corpus.portfolio_speedup", "value": 1.2},
-                {"metric": "smt.portfolio_speedup", "value": 1.1},
-                {"metric": "smt.portfolio_win_rate/straggler",
+                {"metric": "smt.trail_reuse_speedup", "value": 1.2},
+                {"metric": "warmstart.speedup", "value": 1.1},
+                {"metric": "fig11.overlay_hit_rate/fsp/workers=1",
                  "value": 0.5}],
             baseline=[{"metric": "smt.incremental_speedup",
                        "value": 10.0}])

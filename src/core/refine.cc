@@ -5,7 +5,6 @@
 #include <algorithm>
 
 #include "core/client_extractor.h"
-#include "exec/prune_index.h"
 #include "smt/eval.h"
 
 namespace achilles {
@@ -32,31 +31,6 @@ ConfirmWitnesses(smt::ExprContext *ctx, smt::Solver *solver,
         for (uint32_t k = 0; k < f.size; ++k)
             analyzed.push_back(f.offset + k);
 
-    // Unsat cores make the bounded per-path re-checks transfer across
-    // witnesses: a core refuting "path p emits witness w" is a subset
-    // of p's constraints plus pinned-byte equalities, and any later
-    // (path, witness) check whose constraint set contains the
-    // constraint part and whose pin set contains the pin part is UNSAT
-    // by the same core. The two-part subsumption probe is the shared
-    // pruning knowledge base's (exec::PruneIndex, the same store the
-    // server explorer's Trojan pruning uses), so reuse crosses paths
-    // as well as witnesses: a core implicating only constraints shared
-    // between two client paths transfers between them. Cores are only
-    // consumed on unbudgeted solvers: under a flat or stream-level
-    // conflict budget the solver can answer kUnknown and never
-    // produces cores in the first place.
-    const bool cores_usable = solver->config().enable_cores &&
-                              solver->config().unbudgeted();
-    exec::PruneIndexConfig prune_config;
-    prune_config.shards = 4;
-    prune_config.core_cap = 8 * pc.paths.size();
-    exec::PruneIndex prune(prune_config);
-    // Per-path constraint fingerprints, computed once (single context,
-    // always fingerprintable under the unlimited var bound).
-    std::vector<exec::PruneFpVec> path_fps(pc.paths.size());
-    for (size_t p = 0; p < pc.paths.size(); ++p)
-        prune.Fingerprint(pc.paths[p].constraints, &path_fps[p]);
-
     for (const TrojanWitness &witness : witnesses) {
         bool producible = false;
         for (size_t p = 0; p < pc.paths.size() && !producible; ++p) {
@@ -66,9 +40,7 @@ ConfirmWitnesses(smt::ExprContext *ctx, smt::Solver *solver,
             // the incremental backend turns into assumption flips over
             // already-blasted CNF with the common trail prefix kept,
             // and stream-budgeted solvers spread their conflict budget
-            // over the whole per-path stream. `query` is the base ∥
-            // extras concatenation CheckSatAssuming indexes cores into.
-            std::vector<smt::ExprRef> query = pred.constraints;
+            // over the whole per-path stream.
             std::vector<smt::ExprRef> pins;
             pins.reserve(analyzed.size());
             for (uint32_t off : analyzed) {
@@ -76,38 +48,9 @@ ConfirmWitnesses(smt::ExprContext *ctx, smt::Solver *solver,
                     pred.bytes[off],
                     ctx->MakeConst(8, witness.concrete[off])));
             }
-            query.insert(query.end(), pins.begin(), pins.end());
-            exec::PruneFpVec pin_fps;
-            if (cores_usable) {
-                prune.Fingerprint(pins, &pin_fps);
-                if (prune.SubsumesCore(0, path_fps[p], pin_fps)) {
-                    ++result.core_skips;
-                    continue;  // this path cannot emit the witness
-                }
-            }
             ++result.solver_queries;
-            const smt::CheckResult r =
-                solver->CheckSatAssuming(pred.constraints, pins);
-            if (r == smt::CheckResult::kSat) {
-                producible = true;
-            } else if (cores_usable && r == smt::CheckResult::kUnsat &&
-                       r.has_core) {
-                // Record the core split into its constraint part and
-                // its pin part (indices below pred.constraints.size()
-                // are constraints).
-                std::vector<smt::ExprRef> constraint_part;
-                std::vector<smt::ExprRef> pin_part;
-                for (uint32_t idx : r.core) {
-                    if (idx < pred.constraints.size())
-                        constraint_part.push_back(query[idx]);
-                    else
-                        pin_part.push_back(query[idx]);
-                }
-                exec::PruneFpVec constraint_part_fps, pin_part_fps;
-                prune.Fingerprint(constraint_part, &constraint_part_fps);
-                prune.Fingerprint(pin_part, &pin_part_fps);
-                prune.RecordCore(0, constraint_part_fps, pin_part_fps);
-            }
+            producible = solver->CheckSatAssuming(pred.constraints, pins) ==
+                         smt::CheckResult::kSat;
         }
         result.verdicts.push_back(producible ? WitnessVerdict::kRefuted
                                              : WitnessVerdict::kConfirmed);

@@ -41,19 +41,8 @@ struct RefinementResult
     std::vector<WitnessVerdict> verdicts;  ///< parallel to the input
     size_t confirmed = 0;
     size_t refuted = 0;
-    /** Per-client-path solver queries actually issued. */
+    /** Per-client-path solver queries issued. */
     size_t solver_queries = 0;
-    /**
-     * Queries answered by a previously extracted unsat core instead of
-     * the solver: when "client path p cannot emit witness w" was
-     * refuted by a core over p's constraints plus a few pinned bytes,
-     * any other witness agreeing on those bytes is rejected by the same
-     * core (pins are interned per (path, offset, value), so containment
-     * is pointer membership). Only consulted for unbudgeted,
-     * core-enabled solvers -- a budgeted check can answer kUnknown and
-     * must never be short-circuited.
-     */
-    size_t core_skips = 0;
 };
 
 /**

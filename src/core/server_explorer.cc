@@ -230,11 +230,10 @@ ServerExplorer::ServerExplorer(
     }
 
     if (config_.use_prune_index) {
-        // The serial-run knowledge base (multi-worker runs share the
+        // The serial-run overlay (multi-worker runs share the
         // ParallelEngine's instance instead). One context, so every
         // expression is fingerprintable.
         exec::PruneIndexConfig prune_config;
-        prune_config.core_cap = config_.prune_core_cap;
         prune_config.overlay_cap = config_.prune_overlay_cap;
         home_prune_ = std::make_unique<exec::PruneIndex>(prune_config);
         home_match_fps_ = BuildMatchFps(home_prune_.get(), match_);
@@ -328,21 +327,16 @@ ServerExplorer::PredicateMatches(Plane &plane, const symexec::State &state,
 }
 
 bool
-ServerExplorer::SolverCoresOk(const smt::Solver *solver) const
-{
-    // Budgeted solvers -- flat max_conflicts or stream-level budgets --
-    // can answer kUnknown; nothing may be dropped or subsumed off a
-    // core then (the no-drop-on-kUnknown contract), so core consumption
-    // is reserved for unbudgeted configurations where every core-guided
-    // decision coincides with a kUnsat the solver would have produced.
-    return config_.use_unsat_cores && solver->config().enable_cores &&
-           solver->config().unbudgeted();
-}
-
-bool
 ServerExplorer::CoresUsable(const Plane &plane) const
 {
-    return SolverCoresOk(plane.solver);
+    // Budgeted solvers -- flat max_conflicts or stream-level budgets --
+    // can answer kUnknown; nothing may be dropped off a core then (the
+    // no-drop-on-kUnknown contract), so core consumption is reserved
+    // for unbudgeted configurations where every core-guided decision
+    // coincides with a kUnsat the solver would have produced.
+    const smt::SolverConfig &solver_config = plane.solver->config();
+    return config_.use_unsat_cores && solver_config.enable_cores &&
+           solver_config.unbudgeted();
 }
 
 void
@@ -438,57 +432,10 @@ ServerExplorer::CoreGuidedDrops(Plane &plane, const symexec::State &state,
     }
 }
 
-bool
-ServerExplorer::TrojanSubsumedByCore(
-    Plane &plane, const exec::PruneFpVec *path_fps,
-    const std::vector<smt::ExprRef> &negations) const
-{
-    if (plane.prune == nullptr || path_fps == nullptr)
-        return false;
-    exec::PruneFpVec neg_fps;
-    if (!plane.prune->Fingerprint(negations, &neg_fps))
-        return false;  // worker-local variable: not index-portable
-    return plane.prune->SubsumesCore(plane.worker_id, *path_fps,
-                                     neg_fps);
-}
-
-void
-ServerExplorer::RememberTrojanCore(
-    Plane &plane, const std::vector<smt::ExprRef> &path_constraints,
-    const std::vector<smt::ExprRef> &negations,
-    const smt::CheckResult &result)
-{
-    if (plane.prune == nullptr)
-        return;
-    // Split the core into its path part and its negation part; keyed
-    // by the path part, it subsumes any descendant state's query --
-    // on any worker -- whose constraints contain the path part and
-    // whose live negations contain the negation part.
-    std::vector<smt::ExprRef> path_part;
-    std::vector<smt::ExprRef> negation_part;
-    for (uint32_t idx : result.core) {
-        if (idx < path_constraints.size()) {
-            path_part.push_back(path_constraints[idx]);
-        } else {
-            ACHILLES_CHECK(idx - path_constraints.size() < negations.size(),
-                           "core index out of range");
-            negation_part.push_back(
-                negations[idx - path_constraints.size()]);
-        }
-    }
-    exec::PruneFpVec path_fps, neg_fps;
-    if (!plane.prune->Fingerprint(path_part, &path_fps) ||
-        !plane.prune->Fingerprint(negation_part, &neg_fps)) {
-        return;
-    }
-    plane.prune->RecordCore(plane.worker_id, path_fps, neg_fps);
-}
-
 smt::CheckResult
 ServerExplorer::TrojanQuery(
     Plane &plane, const std::vector<smt::ExprRef> &path_constraints,
-    const std::vector<uint32_t> &live, smt::Model *model,
-    const exec::PruneFpVec *path_fps)
+    const std::vector<uint32_t> &live, smt::Model *model)
 {
     std::vector<smt::ExprRef> negations;
     negations.reserve(live.size());
@@ -525,28 +472,8 @@ ServerExplorer::TrojanQuery(
     smt::Solver *solver = plane.solver;
     if (model == nullptr && plane.trojan_solver != nullptr)
         solver = plane.trojan_solver;
-    // Only model-less (pruning) queries answered by an unbudgeted
-    // solver consult and feed the shared core index: a budgeted stream
-    // can answer kUnknown, so it must neither skip queries nor record
-    // cores (no-drop-on-kUnknown).
-    const bool cores = model == nullptr && SolverCoresOk(solver);
-    if (cores && TrojanSubsumedByCore(plane, path_fps, negations)) {
-        plane.stats->Bump("explorer.trojan_core_subsumed");
-        return smt::CheckResult(smt::CheckStatus::kUnsat);
-    }
-    // A query that consulted the knowledge base but was not discharged
-    // is near-miss territory: similar refutations exist in the index,
-    // so it is likely UNSAT-adjacent and worth a deeper strategy. The
-    // hint only steers the portfolio classifier (solver.h); it cannot
-    // change any verdict.
-    if (cores && path_fps != nullptr && plane.prune != nullptr)
-        solver->NotePruneNearMiss();
     plane.stats->Bump("explorer.trojan_queries");
-    smt::CheckResult result = solver->CheckSatAssuming(
-        path_constraints, negations, model);
-    if (cores && result == smt::CheckResult::kUnsat && result.has_core)
-        RememberTrojanCore(plane, path_constraints, negations, result);
-    return result;
+    return solver->CheckSatAssuming(path_constraints, negations, model);
 }
 
 std::vector<std::string>
@@ -575,9 +502,8 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
 {
     LiveSet *data = GetLiveSet(state);
 
-    // Path fingerprints for the index probes, computed once per branch
-    // (the differentFrom overlay and the Trojan-core store share
-    // them); an un-fingerprintable constraint set -- a worker-local
+    // Path fingerprints for the overlay probes, computed once per
+    // branch; an un-fingerprintable constraint set -- a worker-local
     // variable -- just skips the index.
     exec::PruneFpVec path_fps;
     const bool path_fps_ok =
@@ -764,8 +690,7 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
 
     if (config_.prune_trojan_free_states) {
         const smt::CheckResult r =
-            TrojanQuery(plane, state.constraints(), data->live, nullptr,
-                        path_fps_ok ? &path_fps : nullptr);
+            TrojanQuery(plane, state.constraints(), data->live, nullptr);
         if (r == smt::CheckResult::kUnsat) {
             plane.stats->Bump("explorer.states_pruned");
             obs::TraceInstant(plane.obs.tracer, plane.obs.lane,
@@ -841,7 +766,6 @@ ServerExplorer::RunParallel()
     exec::ParallelEngine engine(ctx_, server_, symexec::Mode::kServer,
                                 config_.engine, solver_->config());
     exec::PruneIndexConfig prune_config;
-    prune_config.core_cap = config_.prune_core_cap;
     prune_config.overlay_cap = config_.prune_overlay_cap;
     engine.SetPruneIndexConfig(prune_config);
     engine.SetIncomingMessage(message_);
@@ -935,12 +859,8 @@ ServerExplorer::Run()
         if (gauges) {
             obs::MetricsRegistry *reg = config_.engine.obs.registry;
             const exec::PruneIndex *prune = home_prune_.get();
-            reg->RegisterGauge("prune.core_hits",
-                               [prune] { return prune->core_hits(); });
             reg->RegisterGauge("prune.overlay_hits",
                                [prune] { return prune->overlay_hits(); });
-            reg->RegisterGauge("prune.core_probes",
-                               [prune] { return prune->core_probes(); });
             reg->RegisterGauge("prune.overlay_probes", [prune] {
                 return prune->overlay_probes();
             });
@@ -957,9 +877,7 @@ ServerExplorer::Run()
                                       int64_t value) {
                 reg->RegisterGauge(name, [value] { return value; });
             };
-            freeze("prune.core_hits", home_prune_->core_hits());
             freeze("prune.overlay_hits", home_prune_->overlay_hits());
-            freeze("prune.core_probes", home_prune_->core_probes());
             freeze("prune.overlay_probes", home_prune_->overlay_probes());
         }
     }

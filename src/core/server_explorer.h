@@ -67,8 +67,7 @@ struct ServerExplorerConfig
     bool prune_trojan_free_states = true;
     /**
      * Consume unsat cores from the solver to drop every predicate a
-     * refutation transitively implicates (not just the one under test)
-     * and to subsume repeat Trojan refutations without a solver call.
+     * refutation transitively implicates (not just the one under test).
      * Core-guided drops only ever accelerate decisions the plain query
      * path would make identically (the core proves the sibling query
      * UNSAT outright, or re-enters the differentFrom value-class rule
@@ -81,17 +80,15 @@ struct ServerExplorerConfig
      */
     bool use_unsat_cores = true;
     /**
-     * Consult and feed the run's shared pruning knowledge base
-     * (exec::PruneIndex): the cross-state Trojan-core subsumption
-     * index and the runtime differentFrom overlay. Every hit answers
-     * exactly what the skipped solver query would have answered, so
-     * witness sets are bitwise identical with the index on or off;
-     * like all core reuse it is inert on budgeted solvers.
+     * Consult and feed the run's shared differentFrom overlay
+     * (exec::PruneIndex). Every hit answers exactly what the skipped
+     * solver query would have answered, so witness sets are bitwise
+     * identical with the index on or off; like all core reuse it is
+     * inert on budgeted solvers.
      */
     bool use_prune_index = true;
-    /** Entry caps for the explorer-owned index (serial runs) and the
+    /** Entry cap for the explorer-owned overlay (serial runs) and the
      *  ParallelEngine-owned one (multi-worker runs). */
-    size_t prune_core_cap = 1024;
     size_t prune_overlay_cap = 1024;
     /**
      * Stream-level conflict budget for the Trojan-pruning query stream
@@ -283,7 +280,7 @@ class ServerExplorer : public symexec::Listener
         StatsRegistry *stats;
         std::vector<LiveSetSample> *samples;
         std::vector<TrojanWitness> *trojans;
-        /** The shared pruning knowledge base (null = disabled). */
+        /** The shared differentFrom overlay (null = disabled). */
         exec::PruneIndex *prune;
         size_t worker_id;
         /** Observability sinks addressed to this plane's lane (inert
@@ -302,11 +299,9 @@ class ServerExplorer : public symexec::Listener
                                       const symexec::State &state,
                                       size_t i);
 
-    /** True when core consumption off `solver` is sound and enabled:
-     *  the config toggle is on and the solver runs unbudgeted
-     *  queries. */
-    bool SolverCoresOk(const smt::Solver *solver) const;
-    /** SolverCoresOk for the plane's match-query solver. */
+    /** True when core consumption off the plane's match-query solver
+     *  is sound and enabled: the config toggle is on and the solver
+     *  runs unbudgeted queries. */
     bool CoresUsable(const Plane &plane) const;
 
     /** Per-predicate sorted match fingerprints for a plane's tables
@@ -328,27 +323,10 @@ class ServerExplorer : public symexec::Listener
                          const std::vector<uint32_t> &live,
                          std::vector<uint8_t> *decided);
 
-    /** Subsumption probe / recording for pruning Trojan queries,
-     *  routed through the shared PruneIndex as fingerprints.
-     *  `path_fps` carries the precomputed fingerprints of the full
-     *  path-constraint set (HandleBranch computes them once per branch
-     *  for both the overlay and this probe); null means the set was
-     *  not fingerprintable, which skips the index. */
-    bool TrojanSubsumedByCore(
-        Plane &plane, const exec::PruneFpVec *path_fps,
-        const std::vector<smt::ExprRef> &negations) const;
-    void RememberTrojanCore(
-        Plane &plane, const std::vector<smt::ExprRef> &path_constraints,
-        const std::vector<smt::ExprRef> &negations,
-        const smt::CheckResult &result);
-
-    /** Trojan query for a state; fills the model when sat. `path_fps`
-     *  (optional) are the precomputed fingerprints of
-     *  `path_constraints` for the pruning-probe path. */
+    /** Trojan query for a state; fills the model when sat. */
     smt::CheckResult TrojanQuery(
         Plane &plane, const std::vector<smt::ExprRef> &path_constraints,
-        const std::vector<uint32_t> &live, smt::Model *model,
-        const exec::PruneFpVec *path_fps = nullptr);
+        const std::vector<uint32_t> &live, smt::Model *model);
 
     /** Fields constrained by an expression (via message byte vars). */
     std::vector<std::string> TouchedFields(const Plane &plane,
@@ -383,7 +361,7 @@ class ServerExplorer : public symexec::Listener
     std::vector<smt::ExprRef> negation_exprs_;
 
     ServerAnalysis analysis_;
-    /** The pruning knowledge base for serial runs and the a-posteriori
+    /** The differentFrom overlay for serial runs and the a-posteriori
      *  pass (multi-worker runs use the ParallelEngine's instance). */
     std::unique_ptr<exec::PruneIndex> home_prune_;
     /** Home-plane match fingerprints (parallel planes build their

@@ -1,65 +1,35 @@
 // Achilles reproduction -- parallel exploration subsystem.
 //
-// PruneIndex: the unified cross-state pruning knowledge base. The
-// exploration's dominant cost is deciding, per candidate state and per
-// client predicate, whether a refutation already proven elsewhere makes
-// the next solver query redundant. Before this subsystem that knowledge
-// was scattered across three memos that could not see each other: a
-// per-plane Trojan-core ring inside ServerExplorer (worker-private, so
-// one worker's dead states never pruned another's descendants), the
-// fingerprint-encoded cores duplicated inside exec/query_cache entries,
-// and the static differentFrom matrix (which single-field cores
-// discovered at run time could never densify). PruneIndex consolidates
-// all three behind one lock-striped, evictable store shared by every
-// worker of a run:
-//
-//   1. Two-part core subsumption index ("Trojan cores"). A refutation
-//      core split into its path-constraint part and its negation (or
-//      pin) part, stored as sorted context-independent structural
-//      fingerprints and keyed by the path part's smallest fingerprint.
-//      Any later query whose path set contains the path part and whose
-//      negation set contains the negation part is UNSAT by the very
-//      same core -- across states, across workers, without a solver
-//      call. Also reused verbatim by refinement's cross-witness core
-//      reuse (base = client path constraints, secondary = pinned-byte
-//      equalities).
-//
-//   2. DifferentFrom overlay ("field cores"). Single-field cores from
-//      the predicate-match loop append value-class edges at run time:
-//      an entry records that `path_part ∧ match_part` is unsatisfiable
-//      and that every implicated expression is confined to one
-//      independent field. Consulted through
-//      DifferentFromMatrix::OverlaySubsumed alongside the static
-//      matrix, so later branches (and other workers' branches) take
-//      the static fast path -- drop the predicate and its whole
-//      value class for that field -- for pairs the precomputation
-//      never related to the new path constraints.
-//
-//   3. Query-core store. The shared query cache delegates unsat-core
-//      storage here instead of duplicating core fingerprints inside
-//      its entries: cores are keyed by a chained hash of the query's
-//      sorted fingerprint vector and verified against the full vector
-//      on every lookup (a collision degrades to a miss, mirroring the
-//      cache's own fingerprint-verification discipline).
+// PruneIndex: the cross-state differentFrom overlay. The static
+// differentFrom matrix is computed once from the client predicates, so
+// single-field refutations the explorer discovers at run time could
+// never densify it. This index collects them in one lock-striped,
+// evictable store shared by every worker of a run: single-field cores
+// from the predicate-match loop append value-class edges. An entry
+// records that `path_part ∧ match_part` is unsatisfiable and that every
+// implicated expression is confined to one independent field. It is
+// consulted through DifferentFromMatrix::OverlaySubsumed alongside the
+// static matrix, so later branches (and other workers' branches) take
+// the static fast path -- drop the predicate and its whole value class
+// for that field -- for pairs the precomputation never related to the
+// new path constraints.
 //
 // Soundness: every stored fact is a refutation the solver actually
 // produced, translated into the same context-independent fingerprint
 // currency as exec/expr_transfer, exec/query_cache and
-// exec/clause_exchange. A subsumption hit answers exactly what the
-// skipped query would have answered (kUnsat), so live sets -- and
-// therefore witness sets -- are bitwise identical with the index on or
-// off, at any worker count, under any eviction schedule. Consumers gate
-// recording and probing on SolverConfig::unbudgeted() so kUnknown
-// conservatism is preserved (a budgeted stream records nothing and
-// skips nothing).
+// exec/clause_exchange. A hit answers exactly what the skipped query
+// would have answered (kUnsat), so live sets -- and therefore witness
+// sets -- are bitwise identical with the index on or off, at any worker
+// count, under any eviction schedule. Consumers gate recording and
+// probing on SolverConfig::unbudgeted() so kUnknown conservatism is
+// preserved (a budgeted stream records nothing and skips nothing).
 //
 // Eviction: ReduceDB-style activity/age halving, per shard. Every entry
-// carries an activity counter (bumped on each subsumption hit or
-// re-discovery) and an insertion stamp; when a shard reaches its cap
-// the lower half by (activity, then stamp) is dropped. This caps all
-// three stores for long-running service deployments; because hits are
-// query-equivalent, eviction can only cost future skips, never flip a
-// verdict.
+// carries an activity counter (bumped on each hit or re-discovery) and
+// an insertion stamp; when a shard reaches its cap the upper half by
+// (activity, then stamp) is kept, plus every entry another worker hit
+// since the last round. Because hits are query-equivalent, eviction can
+// only cost future skips, never flip a verdict.
 
 #ifndef ACHILLES_EXEC_PRUNE_INDEX_H_
 #define ACHILLES_EXEC_PRUNE_INDEX_H_
@@ -86,38 +56,12 @@ using PruneFp = std::pair<uint64_t, uint64_t>;
  *  std::includes). */
 using PruneFpVec = std::vector<PruneFp>;
 
-/**
- * Per-store eviction policy: how a full shard's halving round behaves.
- * The defaults reproduce the historical shared rule bit-for-bit (keep
- * ceil(n/2) by (activity, stamp) with the hot-core exemption), so a
- * config that never touches the policies behaves exactly as before;
- * per-store overrides let the overlay and delegated-core stores be
- * tuned independently of the Trojan-core index.
- */
-struct PruneStorePolicy
-{
-    /**
-     * Fraction of a full shard's entries a halving round keeps
-     * (keep = ceil(n * keep_fraction), clamped to [0, n]). 0.5 is
-     * exactly the historical "keep the upper half" rule.
-     */
-    double keep_fraction = 0.5;
-    /** Exempt entries with cross-worker hits since the last round
-     *  (consuming the exemption). Ignored by the query-core store,
-     *  which does not track cross-worker attribution. */
-    bool hot_exemption = true;
-};
-
 struct PruneIndexConfig
 {
-    /** Lock stripes per store. */
+    /** Lock stripes. */
     size_t shards = 16;
-    /** Entry cap for the two-part core subsumption index (store 1). */
-    size_t core_cap = 1024;
-    /** Entry cap for the differentFrom overlay (store 2). */
+    /** Entry cap (0 = unbounded). */
     size_t overlay_cap = 1024;
-    /** Entry cap for the delegated query-core store (store 3). */
-    size_t query_core_cap = 4096;
     /**
      * Fingerprints hash variables by id, so an entry is only portable
      * across contexts when every implicated variable is id-aligned.
@@ -127,17 +71,10 @@ struct PruneIndexConfig
      * Single-context (serial) owners leave it unlimited.
      */
     uint32_t shared_var_limit = 0xffffffffu;
-    /** Eviction policy for the core subsumption index (store 1). */
-    PruneStorePolicy core_policy;
-    /** Eviction policy for the differentFrom overlay (store 2). */
-    PruneStorePolicy overlay_policy;
-    /** Eviction policy for the delegated query-core store (store 3);
-     *  hot_exemption is ignored here. */
-    PruneStorePolicy query_core_policy;
 };
 
 /**
- * The shared pruning knowledge base. Thread-safe; one instance per
+ * The shared differentFrom overlay. Thread-safe; one instance per
  * exploration run (owned by ParallelEngine for multi-worker runs, by
  * the consumer itself for serial ones), probed and fed by every
  * worker's plane.
@@ -159,33 +96,12 @@ class PruneIndex
     bool Fingerprint(const std::vector<smt::ExprRef> &exprs,
                      PruneFpVec *out) const;
 
-    // -- Store 1: two-part core subsumption index ---------------------
-
-    /**
-     * Record a refutation core split into its primary (path) and
-     * secondary (negation / pin) parts. `publisher` identifies the
-     * recording worker so cross-worker hits can be attributed.
-     * Duplicate cores bump the existing entry's activity instead.
-     */
-    void RecordCore(size_t publisher, const PruneFpVec &primary,
-                    const PruneFpVec &secondary);
-
-    /**
-     * True when a recorded core subsumes the query: some entry's
-     * primary part is contained in `primary_set` and its secondary
-     * part in `secondary_set` (both sorted). A hit bumps the entry's
-     * activity; a hit on another worker's core bumps the cross-worker
-     * counter.
-     */
-    bool SubsumesCore(size_t consumer, const PruneFpVec &primary_set,
-                      const PruneFpVec &secondary_set);
-
-    // -- Store 2: differentFrom overlay -------------------------------
-
     /**
      * Append a value-class edge: a single-independent-field core whose
      * path part and match part are both confined to the field named by
-     * `field_token` (DifferentFromMatrix::FieldToken).
+     * `field_token` (DifferentFromMatrix::FieldToken). `publisher`
+     * identifies the recording worker so cross-worker hits can be
+     * attributed. A duplicate bumps the existing entry's activity.
      */
     void RecordFieldCore(size_t publisher, uint64_t field_token,
                          const PruneFpVec &path_part,
@@ -194,24 +110,14 @@ class PruneIndex
     /**
      * True when a recorded field core refutes a predicate-match query:
      * some entry's path part is contained in `path_set` and its match
-     * part in `match_set`. On a hit `*field_token` names the field so
-     * the consumer can re-enter the static matrix's value-class rule.
+     * part in `match_set` (both sorted). On a hit `*field_token` names
+     * the field so the consumer can re-enter the static matrix's
+     * value-class rule. A hit bumps the entry's activity; a hit on
+     * another worker's entry bumps the cross-worker counter.
      */
     bool OverlaySubsumes(size_t consumer, const PruneFpVec &path_set,
                          const PruneFpVec &match_set,
                          uint64_t *field_token);
-
-    // -- Store 3: delegated query-core storage ------------------------
-
-    /** Store the unsat core of the query identified by its sorted
-     *  fingerprint vector (first writer wins, like the cache's own
-     *  upgrade rule). */
-    void RecordQueryCore(const PruneFpVec &query_fps,
-                         const PruneFpVec &core_fps);
-
-    /** Fetch a stored core; the full query fingerprint vector is
-     *  verified, so a key collision is a miss, never a wrong core. */
-    bool LookupQueryCore(const PruneFpVec &query_fps, PruneFpVec *core_fps);
 
     // -- Snapshot export / import (src/persist) -----------------------
 
@@ -224,51 +130,37 @@ class PruneIndex
     static constexpr size_t kImportedPublisher =
         static_cast<size_t>(-1);
 
-    /** One subsumption entry as it travels in a snapshot: fingerprint
-     *  parts and payload only (eviction metadata is run-local). */
+    /** One entry as it travels in a snapshot: fingerprint parts and
+     *  field token only (eviction metadata is run-local). */
     struct ExportedEntry
     {
-        PruneFpVec primary;
-        PruneFpVec secondary;
-        uint64_t payload = 0;
-    };
-    /** One delegated query core as it travels in a snapshot. */
-    struct ExportedQueryCore
-    {
-        PruneFpVec query;
-        PruneFpVec core;
+        PruneFpVec path_part;
+        PruneFpVec match_part;
+        uint64_t field_token = 0;
     };
 
-    void ExportCores(std::vector<ExportedEntry> *out) const;
     void ExportOverlay(std::vector<ExportedEntry> *out) const;
-    void ExportQueryCores(std::vector<ExportedQueryCore> *out) const;
 
-    /** Imports route through the normal record paths (dedup, eviction)
+    /** Imports route through the normal record path (dedup, eviction)
      *  under kImportedPublisher, counted separately from run-recorded
      *  entries so warm-start volume is attributable. */
-    void ImportCores(const std::vector<ExportedEntry> &entries);
     void ImportOverlay(const std::vector<ExportedEntry> &entries);
-    void ImportQueryCores(const std::vector<ExportedQueryCore> &entries);
 
-    /** Entries restored from snapshots (all three stores). */
+    /** Entries restored from snapshots. */
     int64_t imported() const { return Load(imported_); }
 
     // -- Introspection ------------------------------------------------
 
-    size_t core_entries() const;
     size_t overlay_entries() const;
-    size_t query_core_entries() const;
 
-    int64_t core_hits() const { return Load(core_hits_); }
-    int64_t overlay_hits() const { return Load(overlay_hits_); }
-    int64_t core_probes() const { return Load(core_probes_); }
-    int64_t overlay_probes() const { return Load(overlay_probes_); }
+    int64_t overlay_hits() const { return Load(hits_); }
+    int64_t overlay_probes() const { return Load(probes_); }
     int64_t cross_worker_hits() const { return Load(cross_hits_); }
     int64_t evictions() const { return Load(evictions_); }
-    /** Entries spared from a halving round by the hot-core rule. */
+    /** Entries spared from a halving round by the hot-entry rule. */
     int64_t hot_exemptions() const { return Load(hot_exemptions_); }
 
-    /** Export counters ("prune.cores_recorded" et al.). */
+    /** Export counters ("prune.overlay_edges" et al.). */
     void ExportStats(StatsRegistry *stats) const;
 
   private:
@@ -282,12 +174,12 @@ class PruneIndex
         }
     };
 
-    /** One subsumption entry: fingerprint parts + eviction metadata. */
+    /** One entry: fingerprint parts + eviction metadata. */
     struct Entry
     {
-        PruneFpVec primary;
-        PruneFpVec secondary;
-        uint64_t payload = 0;  ///< field token (overlay entries).
+        PruneFpVec path_part;
+        PruneFpVec match_part;
+        uint64_t field_token = 0;
         size_t publisher = 0;
         uint32_t activity = 0;
         /** Hits by workers other than the publisher since the last
@@ -299,44 +191,16 @@ class PruneIndex
     };
 
     /**
-     * A lock-striped two-part subsumption store (backs stores 1 and 2).
-     * Entries are keyed by their smallest primary fingerprint (falling
-     * back to the secondary part, then to a zero key), so a probe only
-     * scans buckets whose key appears in its own fingerprint sets.
+     * One lock stripe. Entries are keyed by their smallest path
+     * fingerprint (falling back to the match part, then to a zero
+     * key), so a probe only scans buckets whose key appears in its own
+     * fingerprint sets.
      */
-    struct SubsumptionStore
-    {
-        struct Shard
-        {
-            mutable std::mutex mutex;
-            std::vector<Entry> entries;
-            std::unordered_map<PruneFp, std::vector<uint32_t>, FpHash>
-                buckets;
-            uint64_t next_stamp = 0;
-        };
-        std::vector<std::unique_ptr<Shard>> shards;
-        size_t per_shard_cap = 0;
-        PruneStorePolicy policy;
-        /** Total live entries across shards, maintained by Record /
-         *  EvictHalf: lets probes skip an empty store without taking
-         *  any shard lock (the differentFrom overlay is empty for the
-         *  whole run whenever no single-field core is ever found, yet
-         *  it used to be hashed and locked on every match query). */
-        std::atomic<size_t> live{0};
-    };
-
-    /** One delegated query core. */
-    struct QueryCoreEntry
-    {
-        PruneFpVec query;
-        PruneFpVec core;
-        uint32_t activity = 0;
-        uint64_t stamp = 0;
-    };
-    struct QueryCoreShard
+    struct Shard
     {
         mutable std::mutex mutex;
-        std::unordered_map<uint64_t, QueryCoreEntry> map;
+        std::vector<Entry> entries;
+        std::unordered_map<PruneFp, std::vector<uint32_t>, FpHash> buckets;
         uint64_t next_stamp = 0;
     };
 
@@ -346,47 +210,26 @@ class PruneIndex
         return v.load(std::memory_order_relaxed);
     }
 
-    static PruneFp KeyOf(const PruneFpVec &primary,
-                         const PruneFpVec &secondary);
-    void InitStore(SubsumptionStore *store, size_t cap,
-                   const PruneStorePolicy &policy) const;
-    SubsumptionStore::Shard &ShardFor(SubsumptionStore &store,
-                                      const PruneFp &key) const;
-    void Record(SubsumptionStore *store, size_t publisher,
-                uint64_t payload, const PruneFpVec &primary,
-                const PruneFpVec &secondary);
-    bool Probe(SubsumptionStore *store, size_t consumer,
-               const PruneFpVec &primary_set,
-               const PruneFpVec &secondary_set, uint64_t *payload,
-               std::atomic<int64_t> *hit_counter);
-    /** Drop a full shard's lower entries by (activity, stamp), keeping
-     *  the store policy's fraction. */
-    void EvictHalf(SubsumptionStore *store,
-                   SubsumptionStore::Shard *shard);
-    static size_t StoreSize(const SubsumptionStore &store);
-    static void ExportStore(const SubsumptionStore &store,
-                            std::vector<ExportedEntry> *out);
-    /** Insert one delegated query core (the shared body of
-     *  RecordQueryCore and ImportQueryCores); true when inserted. */
-    bool PutQueryCore(const PruneFpVec &query_fps,
-                      const PruneFpVec &core_fps);
-
-    static uint64_t ChainHash(const PruneFpVec &fps);
+    static PruneFp KeyOf(const Entry &e);
+    Shard &ShardFor(const PruneFp &key) const;
+    void Record(size_t publisher, uint64_t field_token,
+                const PruneFpVec &path_part, const PruneFpVec &match_part);
+    /** Keep the upper half of a full shard by (activity, stamp), plus
+     *  its hot entries. */
+    void EvictHalf(Shard *shard);
 
     PruneIndexConfig config_;
-    SubsumptionStore cores_;
-    SubsumptionStore overlay_;
-    std::vector<std::unique_ptr<QueryCoreShard>> query_cores_;
-    size_t query_core_shard_cap_ = 0;
+    std::vector<std::unique_ptr<Shard>> shards_;
+    size_t per_shard_cap_ = 0;
+    /** Total live entries across shards, maintained by Record /
+     *  EvictHalf: lets probes skip an empty index without taking any
+     *  shard lock (the overlay is empty for the whole run whenever no
+     *  single-field core is ever found). */
+    std::atomic<size_t> live_{0};
 
-    std::atomic<int64_t> cores_recorded_{0};
-    std::atomic<int64_t> overlay_recorded_{0};
-    std::atomic<int64_t> query_cores_recorded_{0};
-    std::atomic<int64_t> core_hits_{0};
-    std::atomic<int64_t> overlay_hits_{0};
-    std::atomic<int64_t> core_probes_{0};
-    std::atomic<int64_t> overlay_probes_{0};
-    std::atomic<int64_t> query_core_hits_{0};
+    std::atomic<int64_t> recorded_{0};
+    std::atomic<int64_t> hits_{0};
+    std::atomic<int64_t> probes_{0};
     std::atomic<int64_t> cross_hits_{0};
     std::atomic<int64_t> evictions_{0};
     std::atomic<int64_t> hot_exemptions_{0};

@@ -115,11 +115,12 @@ QueryCache::Lookup(const QueryCacheKey &key,
     if (model)
         *model = entry.model;
     if (has_core) {
-        // Cores live in the shared pruning knowledge base, keyed (and
-        // verified) by the query's own fingerprint vector.
-        *has_core = entry.status == smt::CheckStatus::kUnsat &&
-                    prune_ != nullptr &&
-                    prune_->LookupQueryCore(fingerprints, core);
+        *has_core = entry.has_core;
+        if (entry.has_core) {
+            core_hits_.fetch_add(1, std::memory_order_relaxed);
+            if (core)
+                *core = entry.core;
+        }
     }
     return true;
 }
@@ -131,28 +132,34 @@ QueryCache::Insert(const QueryCacheKey &key,
                    const smt::Model &model, bool has_core,
                    const QueryFingerprints &core)
 {
+    if (Put(key, fingerprints, status, has_model, model, has_core, core))
+        cores_recorded_.fetch_add(1, std::memory_order_relaxed);
+}
+
+bool
+QueryCache::Put(const QueryCacheKey &key,
+                const QueryFingerprints &fingerprints,
+                smt::CheckStatus status, bool has_model,
+                const smt::Model &model, bool has_core,
+                const QueryFingerprints &core)
+{
     if (status == smt::CheckStatus::kUnknown)
-        return;  // may become decidable with a bigger budget; don't pin
-    if (has_core && prune_ != nullptr &&
-        status == smt::CheckStatus::kUnsat) {
-        // Single source of truth for core fingerprints: the shared
-        // pruning knowledge base. Cores of the same query may differ
-        // across solver histories -- any of them is a valid
-        // refutation, so the store's first-writer rule is fine.
-        prune_->RecordQueryCore(fingerprints, core);
-    }
+        return false;  // may become decidable with a bigger budget
+    // Only refutations carry cores.
+    has_core = has_core && status == smt::CheckStatus::kUnsat;
     Shard &shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto [it, inserted] = shard.map.try_emplace(
-        key, Entry{status, has_model, fingerprints, model});
+        key, Entry{status, has_model, fingerprints, model, has_core,
+                   has_core ? core : QueryFingerprints{}});
     if (inserted)
-        return;
+        return has_core;
     Entry &entry = it->second;
     if (entry.fingerprints != fingerprints) {
         // Key collision with a different assertion set: first one wins,
         // the loser simply stays uncached.
         collisions_.fetch_add(1, std::memory_order_relaxed);
-        return;
+        return false;
     }
     if (has_model && !entry.has_model) {
         // Model upgrade. The fresh-instance path computes models as a
@@ -161,6 +168,15 @@ QueryCache::Insert(const QueryCacheKey &key,
         entry.model = model;
         entry.has_model = true;
     }
+    if (has_core && !entry.has_core) {
+        // Core upgrade. Cores of the same query may differ across
+        // solver histories; any of them proves the verdict, so the
+        // first one stays.
+        entry.core = core;
+        entry.has_core = true;
+        return true;
+    }
+    return false;
 }
 
 size_t
@@ -181,6 +197,8 @@ QueryCache::ExportStats(StatsRegistry *stats) const
     stats->Bump("exec.query_cache_misses", misses());
     stats->Bump("exec.query_cache_collisions", collisions());
     stats->Set("exec.query_cache_entries", static_cast<int64_t>(size()));
+    stats->Bump("prune.query_cores_recorded", cores_recorded());
+    stats->Bump("prune.query_core_hits", core_hits());
 }
 
 void
@@ -201,6 +219,8 @@ QueryCache::Export(std::vector<ExportedEntry> *out) const
                 std::sort(exported.model_values.begin(),
                           exported.model_values.end());
             }
+            exported.has_core = entry.has_core;
+            exported.core = entry.core;
             out->push_back(std::move(exported));
         }
     }
@@ -216,16 +236,26 @@ QueryCache::Import(const std::vector<ExportedEntry> &entries)
         // is never imported (same rule as Insert), and a malformed
         // unsorted vector is rejected outright -- Lookup's equality
         // check against freshly sorted fingerprints could never hit it,
-        // it would only squat on a key.
+        // it would only squat on a key. A core must name assertions of
+        // its own query: CachedSolver re-anchors only the fingerprints
+        // it finds there, so a foreign one would shrink the core into
+        // a claim the solver never proved.
         if (e.status == smt::CheckStatus::kUnknown)
             continue;
         if (!std::is_sorted(e.fingerprints.begin(), e.fingerprints.end()))
             continue;
+        if (e.has_core &&
+            (e.status != smt::CheckStatus::kUnsat ||
+             !std::is_sorted(e.core.begin(), e.core.end()) ||
+             !std::includes(e.fingerprints.begin(), e.fingerprints.end(),
+                            e.core.begin(), e.core.end()))) {
+            continue;
+        }
         smt::Model model;
         for (const auto &[id, value] : e.model_values)
             model.Set(id, value);
-        Insert(KeyFromFingerprints(e.fingerprints), e.fingerprints,
-               e.status, e.has_model, model);
+        Put(KeyFromFingerprints(e.fingerprints), e.fingerprints, e.status,
+            e.has_model, model, e.has_core, e.core);
         ++accepted;
     }
     return accepted;

@@ -11,7 +11,10 @@
 // (or later upgraded) by the model-producing fresh-instance path, so an
 // identical Trojan query can resolve witness bytes without a SAT call;
 // entries from the model-less incremental path serve result-only
-// callers and are upgraded in place on first model demand.
+// callers and are upgraded in place on first model demand. kUnsat
+// entries decided by the incremental backend also carry the unsat core
+// as the fingerprints of the implicated assertions, upgraded the same
+// way: a core-less entry gains the first core a later insert brings.
 //
 // Key soundness: fingerprints hash variables by id, so a key is only
 // valid across contexts when the ids mean the same variable everywhere.
@@ -31,7 +34,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "exec/prune_index.h"
 #include "smt/solver.h"
 #include "support/stats.h"
 
@@ -75,14 +77,6 @@ class QueryCache
     QueryCache &operator=(const QueryCache &) = delete;
 
     /**
-     * Delegate unsat-core storage to the shared pruning knowledge base
-     * (the single source of truth for core fingerprints). Without an
-     * index, kUnsat entries are cached core-less: hits still answer the
-     * verdict, callers just cannot accelerate off a replayed core.
-     */
-    void SetPruneIndex(PruneIndex *index) { prune_ = index; }
-
-    /**
      * Compute the canonical key for an assertion set (optionally split
      * as assertions ∪ extras, mirroring CheckSatAssuming, so hot
      * callers need not concatenate), plus the sorted per-assertion
@@ -115,11 +109,10 @@ class QueryCache
      * (entries published by the model-less incremental solving path do
      * not; the caller re-solves on the deterministic model-producing
      * path and upgrades the entry via Insert). For kUnsat answers the
-     * unsat core -- stored in the attached PruneIndex, not in the entry
-     * -- is replayed as the fingerprints of the implicated assertions
-     * (`*has_core`/`*core`); the core store verifies the full query
-     * fingerprint vector itself, so a replayed core always belongs to
-     * exactly this assertion set.
+     * entry's unsat core, if it has one, is replayed as the
+     * fingerprints of the implicated assertions (`*has_core`/`*core`);
+     * it passed the same fingerprint check as the verdict, so a
+     * replayed core always belongs to exactly this assertion set.
      */
     bool Lookup(const QueryCacheKey &key,
                 const QueryFingerprints &fingerprints, bool want_model,
@@ -131,8 +124,10 @@ class QueryCache
      * an existing entry with `has_model` set upgrades a model-less
      * entry in place; fingerprint-mismatched keys are left untouched.
      * `core` holds the sorted fingerprints of the core assertions for
-     * kUnsat answers decided by the incremental backend; it is handed
-     * to the attached PruneIndex (first writer wins there too).
+     * kUnsat answers decided by the incremental backend; a core-less
+     * entry gains it, an entry with a core keeps its own (cores of the
+     * same query may differ across solver histories, and any of them
+     * proves the verdict).
      */
     void Insert(const QueryCacheKey &key,
                 const QueryFingerprints &fingerprints,
@@ -156,13 +151,16 @@ class QueryCache
         smt::CheckStatus status = smt::CheckStatus::kUnknown;
         bool has_model = false;
         std::vector<std::pair<uint32_t, uint64_t>> model_values;
+        bool has_core = false;
+        QueryFingerprints core;
     };
 
     void Export(std::vector<ExportedEntry> *out) const;
 
-    /** Re-publish snapshot entries through Insert (kUnknown and
-     *  unsorted-fingerprint entries are skipped); returns the number
-     *  accepted. */
+    /** Re-publish snapshot entries (kUnknown entries, unsorted vectors
+     *  and cores that are not a subset of their query or sit on a
+     *  non-kUnsat entry are skipped); returns the number accepted.
+     *  Imported cores do not count as recorded. */
     size_t Import(const std::vector<ExportedEntry> &entries);
 
     int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
@@ -173,6 +171,16 @@ class QueryCache
     int64_t collisions() const
     {
         return collisions_.load(std::memory_order_relaxed);
+    }
+    /** Cores this run attached to entries (imports excluded). */
+    int64_t cores_recorded() const
+    {
+        return cores_recorded_.load(std::memory_order_relaxed);
+    }
+    /** Lookups that replayed a core. */
+    int64_t core_hits() const
+    {
+        return core_hits_.load(std::memory_order_relaxed);
     }
     size_t size() const;
 
@@ -186,6 +194,8 @@ class QueryCache
         bool has_model = false;
         QueryFingerprints fingerprints;
         smt::Model model;
+        bool has_core = false;
+        QueryFingerprints core;
     };
     struct KeyHash
     {
@@ -201,12 +211,19 @@ class QueryCache
     };
 
     Shard &ShardFor(const QueryCacheKey &key);
+    /** Insert's body; true when the call attached a core. */
+    bool Put(const QueryCacheKey &key,
+             const QueryFingerprints &fingerprints,
+             smt::CheckStatus status, bool has_model,
+             const smt::Model &model, bool has_core,
+             const QueryFingerprints &core);
 
     std::vector<std::unique_ptr<Shard>> shards_;
-    PruneIndex *prune_ = nullptr;
     std::atomic<int64_t> hits_{0};
     std::atomic<int64_t> misses_{0};
     std::atomic<int64_t> collisions_{0};
+    std::atomic<int64_t> cores_recorded_{0};
+    std::atomic<int64_t> core_hits_{0};
 };
 
 /**

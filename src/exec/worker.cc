@@ -39,14 +39,12 @@ ParallelEngine::Run()
     // every worker context; only queries confined to these variables may
     // use the shared cache (worker-local variable ids are ambiguous).
     const uint32_t shared_var_limit = home_->NumVars();
-    // The shared pruning knowledge base: Trojan-core subsumption and
-    // the differentFrom overlay for the explorer's planes, delegated
-    // core storage for the query cache. Portability of its fingerprints
-    // follows the same id-alignment rule as the cache's keys.
+    // The shared differentFrom overlay for the explorer's planes.
+    // Portability of its fingerprints follows the same id-alignment
+    // rule as the cache's keys.
     prune_config_.shared_var_limit = shared_var_limit;
     prune_index_ = std::make_unique<PruneIndex>(prune_config_);
     cache_ = std::make_unique<QueryCache>();
-    cache_->SetPruneIndex(prune_index_.get());
     // The learned-clause exchange shares one worker's short refutation
     // lemmas with its siblings. Only meaningful with siblings to share
     // with, and only wired when the incremental backends that produce
@@ -88,12 +86,8 @@ ParallelEngine::Run()
         reg->RegisterGauge("cache.collisions",
                            [cache] { return cache->collisions(); });
         const PruneIndex *prune = prune_index_.get();
-        reg->RegisterGauge("prune.core_hits",
-                           [prune] { return prune->core_hits(); });
         reg->RegisterGauge("prune.overlay_hits",
                            [prune] { return prune->overlay_hits(); });
-        reg->RegisterGauge("prune.core_probes",
-                           [prune] { return prune->core_probes(); });
         reg->RegisterGauge("prune.overlay_probes",
                            [prune] { return prune->overlay_probes(); });
         reg->RegisterGauge("prune.cross_worker_hits",
@@ -222,9 +216,7 @@ ParallelEngine::Run()
         freeze("cache.hits", cache_->hits());
         freeze("cache.misses", cache_->misses());
         freeze("cache.collisions", cache_->collisions());
-        freeze("prune.core_hits", prune_index_->core_hits());
         freeze("prune.overlay_hits", prune_index_->overlay_hits());
-        freeze("prune.core_probes", prune_index_->core_probes());
         freeze("prune.overlay_probes", prune_index_->overlay_probes());
         freeze("prune.cross_worker_hits",
                prune_index_->cross_worker_hits());

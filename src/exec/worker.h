@@ -69,9 +69,8 @@ struct WorkerContext
     std::unique_ptr<symexec::Engine> engine;
     /** Worker-context replicas of the home incoming-message bytes. */
     std::vector<smt::ExprRef> incoming;
-    /** This worker's handle onto the run's shared pruning knowledge
-     *  base (Trojan-core subsumption, differentFrom overlay, delegated
-     *  query cores); identical pointer in every worker. */
+    /** This worker's handle onto the run's shared differentFrom
+     *  overlay; identical pointer in every worker. */
     PruneIndex *prune_index = nullptr;
 };
 
@@ -111,8 +110,8 @@ class ParallelEngine
         factory_ = factory;
     }
 
-    /** Override the pruning knowledge base's caps before Run (the
-     *  shared_var_limit field is recomputed at launch regardless). */
+    /** Override the overlay's config before Run (the shared_var_limit
+     *  field is recomputed at launch regardless). */
     void SetPruneIndexConfig(PruneIndexConfig config)
     {
         prune_config_ = config;
@@ -155,7 +154,7 @@ class ParallelEngine
     QueryCache *query_cache() { return cache_.get(); }
     /** The shared lemma pool (null when the exchange is disabled). */
     ClauseExchange *clause_exchange() { return clause_exchange_.get(); }
-    /** The run's shared pruning knowledge base. */
+    /** The run's shared differentFrom overlay. */
     PruneIndex *prune_index() { return prune_index_.get(); }
 
   private:

@@ -6,6 +6,7 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <tuple>
 
 namespace achilles {
@@ -17,11 +18,10 @@ constexpr char kMagic[8] = {'A', 'C', 'H', 'S', 'N', 'A', 'P', '\0'};
 
 // Section tags. Unknown tags fail the load: a future writer's snapshot
 // is not partially importable, per the all-or-nothing rule.
-constexpr uint32_t kSectionCores = 1;
-constexpr uint32_t kSectionOverlay = 2;
-constexpr uint32_t kSectionQueryCores = 3;
-constexpr uint32_t kSectionLemmas = 4;
-constexpr uint32_t kSectionQueries = 5;
+constexpr uint32_t kSectionOverlay = 1;
+constexpr uint32_t kSectionLemmas = 2;
+constexpr uint32_t kSectionQueries = 3;
+constexpr uint32_t kNumSections = 3;
 
 // ------------------------------------------------------------ encoding
 
@@ -125,20 +125,20 @@ GetFpVec(Reader *r, exec::PruneFpVec *out)
 // ---------------------------------------------------- section payloads
 
 std::vector<uint8_t>
-EncodeEntries(const std::vector<exec::PruneIndex::ExportedEntry> &entries)
+EncodeOverlay(const std::vector<exec::PruneIndex::ExportedEntry> &entries)
 {
     std::vector<uint8_t> buf;
     PutU64(&buf, entries.size());
     for (const auto &e : entries) {
-        PutU64(&buf, e.payload);
-        PutFpVec(&buf, e.primary);
-        PutFpVec(&buf, e.secondary);
+        PutU64(&buf, e.field_token);
+        PutFpVec(&buf, e.path_part);
+        PutFpVec(&buf, e.match_part);
     }
     return buf;
 }
 
 bool
-DecodeEntries(Reader *r,
+DecodeOverlay(Reader *r,
               std::vector<exec::PruneIndex::ExportedEntry> *out)
 {
     const uint64_t count = r->U64();
@@ -147,38 +147,8 @@ DecodeEntries(Reader *r,
     out->reserve(static_cast<size_t>(count));
     for (uint64_t i = 0; i < count; ++i) {
         exec::PruneIndex::ExportedEntry e;
-        e.payload = r->U64();
-        if (!GetFpVec(r, &e.primary) || !GetFpVec(r, &e.secondary))
-            return false;
-        out->push_back(std::move(e));
-    }
-    return r->ok;
-}
-
-std::vector<uint8_t>
-EncodeQueryCores(
-    const std::vector<exec::PruneIndex::ExportedQueryCore> &entries)
-{
-    std::vector<uint8_t> buf;
-    PutU64(&buf, entries.size());
-    for (const auto &e : entries) {
-        PutFpVec(&buf, e.query);
-        PutFpVec(&buf, e.core);
-    }
-    return buf;
-}
-
-bool
-DecodeQueryCores(Reader *r,
-                 std::vector<exec::PruneIndex::ExportedQueryCore> *out)
-{
-    const uint64_t count = r->U64();
-    if (!r->ok || count > (r->size - r->pos) / 16)
-        return false;
-    out->reserve(static_cast<size_t>(count));
-    for (uint64_t i = 0; i < count; ++i) {
-        exec::PruneIndex::ExportedQueryCore e;
-        if (!GetFpVec(r, &e.query) || !GetFpVec(r, &e.core))
+        e.field_token = r->U64();
+        if (!GetFpVec(r, &e.path_part) || !GetFpVec(r, &e.match_part))
             return false;
         out->push_back(std::move(e));
     }
@@ -225,6 +195,8 @@ EncodeQueries(const std::vector<exec::QueryCache::ExportedEntry> &entries)
             PutU32(&buf, id);
             PutU64(&buf, value);
         }
+        buf.push_back(e.has_core ? 1 : 0);
+        PutFpVec(&buf, e.core);
     }
     return buf;
 }
@@ -233,8 +205,9 @@ bool
 DecodeQueries(Reader *r,
               std::vector<exec::QueryCache::ExportedEntry> *out)
 {
+    // Smallest entry: three counts, status, has_model and has_core.
     const uint64_t count = r->U64();
-    if (!r->ok || count > (r->size - r->pos) / 18)
+    if (!r->ok || count > (r->size - r->pos) / 27)
         return false;
     out->reserve(static_cast<size_t>(count));
     for (uint64_t i = 0; i < count; ++i) {
@@ -261,6 +234,16 @@ DecodeQueries(Reader *r,
                             e.model_values.end())) {
             return false;
         }
+        // A core explains a refutation and nothing else; the flag is a
+        // plain boolean, and a core-less entry carries no fingerprints.
+        const uint8_t has_core = r->U8();
+        if (has_core > 1 || !GetFpVec(r, &e.core))
+            return false;
+        e.has_core = has_core != 0;
+        if (e.has_core ? e.status != smt::CheckStatus::kUnsat
+                       : !e.core.empty()) {
+            return false;
+        }
         out->push_back(std::move(e));
     }
     return r->ok;
@@ -268,60 +251,40 @@ DecodeQueries(Reader *r,
 
 // -------------------------------------------------- canonical ordering
 
-bool
-EntryLess(const exec::PruneIndex::ExportedEntry &a,
-          const exec::PruneIndex::ExportedEntry &b)
-{
-    return std::tie(a.primary, a.secondary, a.payload) <
-           std::tie(b.primary, b.secondary, b.payload);
-}
-
-bool
-EntryEq(const exec::PruneIndex::ExportedEntry &a,
-        const exec::PruneIndex::ExportedEntry &b)
-{
-    return a.primary == b.primary && a.secondary == b.secondary &&
-           a.payload == b.payload;
-}
-
 void
 Canonicalize(KnowledgeSnapshot *snap)
 {
     // Deterministic bytes for identical knowledge: shard layout,
     // capture order and duplicate appends (engine stores + home index)
     // must not show in the file.
-    std::sort(snap->cores.begin(), snap->cores.end(), EntryLess);
-    snap->cores.erase(std::unique(snap->cores.begin(), snap->cores.end(),
-                                  EntryEq),
-                      snap->cores.end());
-    std::sort(snap->overlay.begin(), snap->overlay.end(), EntryLess);
+    const auto o_key = [](const exec::PruneIndex::ExportedEntry &e) {
+        return std::tie(e.path_part, e.match_part, e.field_token);
+    };
+    std::sort(snap->overlay.begin(), snap->overlay.end(),
+              [&](const auto &a, const auto &b) {
+                  return o_key(a) < o_key(b);
+              });
     snap->overlay.erase(std::unique(snap->overlay.begin(),
-                                    snap->overlay.end(), EntryEq),
+                                    snap->overlay.end(),
+                                    [&](const auto &a, const auto &b) {
+                                        return o_key(a) == o_key(b);
+                                    }),
                         snap->overlay.end());
-    const auto qc_less = [](const exec::PruneIndex::ExportedQueryCore &a,
-                            const exec::PruneIndex::ExportedQueryCore &b) {
-        return std::tie(a.query, a.core) < std::tie(b.query, b.core);
-    };
-    const auto qc_eq = [](const exec::PruneIndex::ExportedQueryCore &a,
-                          const exec::PruneIndex::ExportedQueryCore &b) {
-        return a.query == b.query && a.core == b.core;
-    };
-    std::sort(snap->query_cores.begin(), snap->query_cores.end(), qc_less);
-    snap->query_cores.erase(std::unique(snap->query_cores.begin(),
-                                        snap->query_cores.end(), qc_eq),
-                            snap->query_cores.end());
     std::sort(snap->lemmas.begin(), snap->lemmas.end());
     snap->lemmas.erase(
         std::unique(snap->lemmas.begin(), snap->lemmas.end()),
         snap->lemmas.end());
     // Queries: dedup by fingerprint vector, preferring the entry that
-    // carries a model (models are pure functions of the query, so any
-    // carrier has the same bytes).
+    // carries a core, then one that carries a model (a kSat entry never
+    // has a core and a kUnsat model is empty, so this keeps the most
+    // useful copy; models are pure functions of the query, so any
+    // carrier has the same bytes), then the smallest core.
     const auto q_less = [](const exec::QueryCache::ExportedEntry &a,
                            const exec::QueryCache::ExportedEntry &b) {
-        if (a.fingerprints != b.fingerprints)
-            return a.fingerprints < b.fingerprints;
-        return a.has_model > b.has_model;
+        return std::make_tuple(std::cref(a.fingerprints), !a.has_core,
+                               !a.has_model, std::cref(a.core)) <
+               std::make_tuple(std::cref(b.fingerprints), !b.has_core,
+                               !b.has_model, std::cref(b.core));
     };
     const auto q_same_query = [](const exec::QueryCache::ExportedEntry &a,
                                  const exec::QueryCache::ExportedEntry &b) {
@@ -378,12 +341,9 @@ SaveSnapshot(const KnowledgeSnapshot &snapshot, const std::string &path,
     file.insert(file.end(), kMagic, kMagic + sizeof(kMagic));
     PutU32(&file, kSnapshotFormatVersion);
     PutU64(&file, canonical.protocol_fingerprint);
-    PutU32(&file, 5);  // section count
-    AppendSection(&file, kSectionCores, EncodeEntries(canonical.cores));
+    PutU32(&file, kNumSections);
     AppendSection(&file, kSectionOverlay,
-                  EncodeEntries(canonical.overlay));
-    AppendSection(&file, kSectionQueryCores,
-                  EncodeQueryCores(canonical.query_cores));
+                  EncodeOverlay(canonical.overlay));
     AppendSection(&file, kSectionLemmas, EncodeLemmas(canonical.lemmas));
     AppendSection(&file, kSectionQueries,
                   EncodeQueries(canonical.queries));
@@ -448,7 +408,7 @@ LoadSnapshot(const std::string &path, uint64_t expected_fingerprint,
 
     KnowledgeSnapshot snap;
     snap.protocol_fingerprint = fingerprint;
-    bool seen[6] = {false, false, false, false, false, false};
+    bool seen[kNumSections + 1] = {};
     for (uint32_t s = 0; s < section_count; ++s) {
         const uint32_t tag = r.U32();
         const uint64_t payload_size = r.U64();
@@ -459,21 +419,15 @@ LoadSnapshot(const std::string &path, uint64_t expected_fingerprint,
         if (Crc32(payload, static_cast<size_t>(payload_size)) != crc)
             return fail("section CRC mismatch (tag " +
                         std::to_string(tag) + ")");
-        if (tag == 0 || tag > 5 || seen[tag])
+        if (tag == 0 || tag > kNumSections || seen[tag])
             return fail("unknown or duplicate section tag " +
                         std::to_string(tag));
         seen[tag] = true;
         Reader sec{payload, static_cast<size_t>(payload_size), 0, true};
         bool decoded = false;
         switch (tag) {
-            case kSectionCores:
-                decoded = DecodeEntries(&sec, &snap.cores);
-                break;
             case kSectionOverlay:
-                decoded = DecodeEntries(&sec, &snap.overlay);
-                break;
-            case kSectionQueryCores:
-                decoded = DecodeQueryCores(&sec, &snap.query_cores);
+                decoded = DecodeOverlay(&sec, &snap.overlay);
                 break;
             case kSectionLemmas:
                 decoded = DecodeLemmas(&sec, &snap.lemmas);
@@ -502,11 +456,8 @@ RestoreKnowledge(const KnowledgeSnapshot &snapshot,
                  exec::PruneIndex *prune, exec::QueryCache *cache,
                  exec::ClauseExchange *exchange)
 {
-    if (prune != nullptr) {
-        prune->ImportCores(snapshot.cores);
+    if (prune != nullptr)
         prune->ImportOverlay(snapshot.overlay);
-        prune->ImportQueryCores(snapshot.query_cores);
-    }
     if (cache != nullptr)
         cache->Import(snapshot.queries);
     if (exchange != nullptr)
@@ -519,11 +470,8 @@ CaptureKnowledge(const exec::PruneIndex *prune,
                  const exec::ClauseExchange *exchange,
                  KnowledgeSnapshot *out)
 {
-    if (prune != nullptr) {
-        prune->ExportCores(&out->cores);
+    if (prune != nullptr)
         prune->ExportOverlay(&out->overlay);
-        prune->ExportQueryCores(&out->query_cores);
-    }
     if (cache != nullptr)
         cache->Export(&out->queries);
     if (exchange != nullptr)

@@ -1,9 +1,9 @@
 // Achilles reproduction -- warm-start knowledge persistence.
 //
 // Cross-run snapshot/restore of the three knowledge stores the
-// exploration builds as it proves things: the PruneIndex (two-part core
-// subsumption, differentFrom overlay, delegated query cores), the
-// clause-exchange lemma pool, and the cross-worker query cache. Every
+// exploration builds as it proves things: the PruneIndex (the
+// differentFrom overlay), the clause-exchange lemma pool, and the
+// cross-worker query cache (verdicts, models and unsat cores). Every
 // run today rediscovers from scratch what prior runs already proved;
 // all three stores speak context-independent structural fingerprints
 // by construction, so persisting them is a format problem, not a
@@ -20,8 +20,8 @@
 //            | payload bytes
 //
 // Section payloads encode counted vectors of fixed-width integers (see
-// snapshot.cc); tags are kSectionCores/Overlay/QueryCores/Lemmas/
-// Queries. The protocol fingerprint (persist/fingerprint.h) is a
+// snapshot.cc); tags are kSectionOverlay/Lemmas/Queries. The protocol
+// fingerprint (persist/fingerprint.h) is a
 // structural hash of the materialized protocol bundle, so a snapshot of
 // an edited protocol silently misses instead of poisoning the run.
 //
@@ -52,8 +52,9 @@ namespace achilles {
 namespace persist {
 
 /** Current snapshot format version (bumped on layout changes; loaders
- *  reject other versions, degrading to a cold start). */
-constexpr uint32_t kSnapshotFormatVersion = 1;
+ *  reject other versions, degrading to a cold start). Version 2 carries
+ *  unsat cores inside the query entries. */
+constexpr uint32_t kSnapshotFormatVersion = 2;
 
 /**
  * Everything a run's knowledge stores proved, in portable form.
@@ -65,23 +66,19 @@ constexpr uint32_t kSnapshotFormatVersion = 1;
 struct KnowledgeSnapshot
 {
     uint64_t protocol_fingerprint = 0;
-    std::vector<exec::PruneIndex::ExportedEntry> cores;
     std::vector<exec::PruneIndex::ExportedEntry> overlay;
-    std::vector<exec::PruneIndex::ExportedQueryCore> query_cores;
     std::vector<exec::Lemma> lemmas;
     std::vector<exec::QueryCache::ExportedEntry> queries;
 
     bool
     Empty() const
     {
-        return cores.empty() && overlay.empty() && query_cores.empty() &&
-               lemmas.empty() && queries.empty();
+        return overlay.empty() && lemmas.empty() && queries.empty();
     }
     size_t
     TotalEntries() const
     {
-        return cores.size() + overlay.size() + query_cores.size() +
-               lemmas.size() + queries.size();
+        return overlay.size() + lemmas.size() + queries.size();
     }
 };
 

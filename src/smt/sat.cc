@@ -16,6 +16,20 @@ namespace smt {
 
 namespace {
 
+// Search heuristics. Restarts are geometric: the first after
+// kRestartBase conflicts, each later interval kRestartGrowth times the
+// previous one. VSIDS variable and clause activities decay by
+// kVarDecay and kClauseDecay per conflict. ReduceDB's learnt-clause cap
+// starts at max(kLearntFloor, clauses / kLearntDivisor) and grows by
+// kLearntGrowthPct percent after each reduction.
+constexpr int64_t kRestartBase = 100;
+constexpr double kRestartGrowth = 1.5;
+constexpr double kVarDecay = 0.95;
+constexpr double kClauseDecay = 0.999;
+constexpr int64_t kLearntFloor = 4000;
+constexpr int64_t kLearntDivisor = 3;
+constexpr int64_t kLearntGrowthPct = 10;
+
 /** Registry name of each SatCounters field. */
 const struct
 {
@@ -509,36 +523,9 @@ SatSolver::PickBranchLit()
         const uint32_t v = HeapPop();
         if (assigns_[v] != LBool::kUndef || !(var_flags_[v] & kVarInCone))
             continue;
-        switch (params_.phase_policy) {
-        case PhasePolicy::kNegative:
-            return Lit(v, /*negated=*/true);
-        case PhasePolicy::kPositive:
-            return Lit(v, /*negated=*/false);
-        case PhasePolicy::kSaved:
-            break;
-        }
         return Lit(v, saved_phase_[v] == 0);
     }
     return Lit::FromCode(0xffffffffu);
-}
-
-int64_t
-SatSolver::Luby(int64_t i)
-{
-    // The reluctant-doubling sequence: find the subsequence 2^k - 1
-    // containing i and recurse into its position.
-    int64_t size = 1;
-    int64_t seq = 0;
-    while (size < i + 1) {
-        size = 2 * size + 1;
-        ++seq;
-    }
-    while (size - 1 != i) {
-        size = (size - 1) / 2;
-        --seq;
-        i = i % size;
-    }
-    return int64_t{1} << seq;
 }
 
 void
@@ -990,21 +977,17 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
     BacktrackTo(keep_level);
     if (learnt_cap_ <= 0) {
         learnt_cap_ = std::max<int64_t>(
-            params_.learnt_floor,
-            static_cast<int64_t>(clauses_.size()) / params_.learnt_divisor);
+            kLearntFloor,
+            static_cast<int64_t>(clauses_.size()) / kLearntDivisor);
     }
     if (static_cast<int64_t>(learnts_.size()) >= learnt_cap_) {
         BacktrackTo(0);  // ReduceDB runs off the root level
         ReduceDB();
-        learnt_cap_ += learnt_cap_ * params_.learnt_growth_pct / 100;
+        learnt_cap_ += learnt_cap_ * kLearntGrowthPct / 100;
     }
 
     int64_t conflicts = 0;
-    int64_t restart_number = 0;
-    int64_t restart_budget =
-        params_.restart_schedule == RestartSchedule::kLuby
-            ? params_.restart_base * Luby(restart_number)
-            : params_.restart_base;
+    int64_t restart_budget = kRestartBase;
     int64_t conflicts_at_restart = 0;
 
     while (true) {
@@ -1053,8 +1036,8 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
                 BumpClause(cref);
                 Enqueue(learnt[0], cref);
             }
-            DecayVarActivity();
-            DecayClauseActivity();
+            var_inc_ /= kVarDecay;
+            cla_inc_ /= kClauseDecay;
             if (max_conflicts >= 0 && conflicts >= max_conflicts) {
                 // Unwind the search decisions but keep any standing
                 // assumption prefix (assumption_trail_ is trimmed by
@@ -1070,18 +1053,13 @@ SatSolver::Search(const std::vector<Lit> &assumptions, int64_t max_conflicts,
             }
             if (conflicts - conflicts_at_restart >= restart_budget) {
                 conflicts_at_restart = conflicts;
-                ++restart_number;
-                restart_budget =
-                    params_.restart_schedule == RestartSchedule::kLuby
-                        ? params_.restart_base * Luby(restart_number)
-                        : static_cast<int64_t>(restart_budget *
-                                               params_.restart_growth);
+                restart_budget = static_cast<int64_t>(restart_budget *
+                                                      kRestartGrowth);
                 ++counters_.restarts;
                 BacktrackTo(0);
                 if (static_cast<int64_t>(learnts_.size()) >= learnt_cap_) {
                     ReduceDB();
-                    learnt_cap_ += learnt_cap_ * params_.learnt_growth_pct /
-                                   100;
+                    learnt_cap_ += learnt_cap_ * kLearntGrowthPct / 100;
                 }
             }
             continue;

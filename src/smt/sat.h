@@ -51,47 +51,6 @@ enum class LBool : uint8_t { kFalse = 0, kTrue = 1, kUndef = 2 };
 /** Result of a Solve() call. */
 enum class SatStatus { kSat, kUnsat, kUnknown };
 
-/** Restart schedule of the CDCL search loop. */
-enum class RestartSchedule : uint8_t
-{
-    kGeometric,  // budget grows by restart_growth after each restart
-    kLuby,       // budget = restart_base * Luby(restart number)
-};
-
-/** First-try decision polarity. */
-enum class PhasePolicy : uint8_t
-{
-    kSaved,     // last assigned polarity (phase saving; the default)
-    kNegative,  // always try false first (MiniSat's classic default)
-    kPositive,  // always try true first
-};
-
-/**
- * Tunable heuristics of the CDCL core. The defaults reproduce the
- * solver's historical fixed point bit-exactly; the portfolio layer in
- * the facade swaps presets per query class. Every field only steers
- * the search order -- verdicts (and, for deterministic single-strategy
- * streams, models) are unaffected by which preset found them.
- */
-struct SatParams
-{
-    RestartSchedule restart_schedule = RestartSchedule::kGeometric;
-    /** First restart interval, in conflicts. */
-    int64_t restart_base = 100;
-    /** Geometric growth factor (ignored under Luby). */
-    double restart_growth = 1.5;
-    PhasePolicy phase_policy = PhasePolicy::kSaved;
-    /** VSIDS variable-activity decay (var_inc /= var_decay). */
-    double var_decay = 0.95;
-    /** Learnt-clause activity decay. */
-    double clause_decay = 0.999;
-    /** ReduceDB auto-cap = max(learnt_floor, clauses/learnt_divisor). */
-    int64_t learnt_floor = 4000;
-    int64_t learnt_divisor = 3;
-    /** Cap growth after each ReduceDB, in percent. */
-    int64_t learnt_growth_pct = 10;
-};
-
 /**
  * Cumulative event counts of one SatSolver. They live on plain integers
  * because they are bumped per propagation, decision and conflict; the
@@ -380,17 +339,6 @@ class SatSolver
     void SetLearntCap(int64_t cap) { learnt_cap_ = cap; }
     size_t NumLearnts() const { return learnts_.size(); }
 
-    /**
-     * Swap the search-heuristic parameter set. Takes effect on the next
-     * Solve; a zeroed learnt cap re-auto-sizes from the new floor.
-     * Defaults reproduce the historical behavior bit-exactly.
-     */
-    void SetParams(const SatParams &params) { params_ = params; }
-    const SatParams &params() const { return params_; }
-
-    /** Luby restart sequence (1,1,2,1,1,2,4,...), 0-indexed. */
-    static int64_t Luby(int64_t i);
-
     /** Cumulative event counts, read without touching the registry. */
     const SatCounters &counters() const { return counters_; }
 
@@ -453,7 +401,6 @@ class SatSolver
     ClauseRef AllocClause(const std::vector<Lit> &lits, bool learnt);
     void AttachClause(ClauseRef cref);
     void BumpVar(uint32_t var);
-    void DecayVarActivity() { var_inc_ /= params_.var_decay; }
     void RescaleActivities();
 
     // Activity order-heap (max-heap on activity, var index tie-break):
@@ -473,7 +420,6 @@ class SatSolver
     float ClauseActivity(ClauseRef cref) const;
     void SetClauseActivity(ClauseRef cref, float activity);
     void BumpClause(ClauseRef cref);
-    void DecayClauseActivity() { cla_inc_ /= params_.clause_decay; }
     void ReduceDB();
     void GarbageCollect();
 
@@ -489,8 +435,6 @@ class SatSolver
     {
         return Lit::FromCode(arena_[cref + 1 + i]);
     }
-
-    SatParams params_;
 
     std::vector<uint32_t> arena_;
     std::vector<ClauseRef> clauses_;

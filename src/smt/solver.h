@@ -166,65 +166,6 @@ struct StreamBudget
     bool enabled() const { return base >= 0; }
 };
 
-/**
- * Query classes of the portfolio dispatcher, ordered roughly by
- * expected hardness. Classification is a pure function of cheap,
- * structure-only features (QueryFeatures), so any two solvers seeing
- * the same query in the same stream state agree on the class.
- */
-enum class QueryClass : uint8_t
-{
-    kTrivial,    // tiny live set, shallow terms: interval usually ends it
-    kShallow,    // modest depth: interval-first, skip core minimization
-    kDeep,       // deep arithmetic terms: SAT-first, Luby restarts
-    kStraggler,  // stream is burning budget: race two configurations
-};
-constexpr int kNumQueryClasses = 4;
-const char *QueryClassName(QueryClass c);
-
-/** Cheap per-query features the classifier buckets on. */
-struct QueryFeatures
-{
-    /** Max expression depth over the live assertions, saturated at
-     *  kDepthSaturation (each root's DFS visits at most kDepthVisitCap
-     *  nodes, so one walk is O(1) on huge DAGs -- and the dispatch
-     *  path memoizes per-root results, so repeated roots are a hash
-     *  lookup). */
-    uint32_t depth = 0;
-    /** Number of live (non-trivial, deduplicated) assertions. */
-    uint32_t live_count = 0;
-    /** The previous PruneIndex probe was a near-miss (prefix matched,
-     *  no subsuming core): the query resembles known-hard territory. */
-    bool prune_near_miss = false;
-    /** Rolling kUnknown fraction of this solver's solved stream. */
-    double unknown_rate = 0.0;
-    /** Rolling mean SAT conflicts per solved query on this stream. */
-    double conflict_rate = 0.0;
-
-    /** One past the deepest threshold Classify() distinguishes (4 and
-     *  8): any depth >= 9 buckets identically, so the DFS stops
-     *  descending there instead of measuring depth it cannot use. */
-    static constexpr uint32_t kDepthSaturation = 9;
-    static constexpr uint32_t kDepthVisitCap = 256;
-};
-
-/** Per-class strategy the dispatcher applies to one query. */
-struct QueryStrategy
-{
-    /** Run the interval UNSAT pre-check before the SAT backend. */
-    bool interval_first = true;
-    /** Deletion-minimize unsat cores (incremental path only). */
-    bool minimize_core = true;
-    /** On a budget-exhausted fresh-path kUnknown, re-run the query
-     *  once under `race_sat` (sequential-deterministic racing: fixed
-     *  arm order, first decided verdict wins). */
-    bool race = false;
-    /** CDCL parameter preset for the first (or only) arm. */
-    SatParams sat;
-    /** Preset for the racing arm. */
-    SatParams race_sat;
-};
-
 /** Tunables for the solver facade. */
 struct SolverConfig
 {
@@ -348,32 +289,6 @@ struct SolverConfig
      * bitwise identical obs on/off; see tests/test_obs.cc).
      */
     obs::ObsHandle obs;
-    /**
-     * Base CDCL parameter set (see SatParams). Applied to every SAT
-     * instance the facade builds -- fresh and incremental alike -- so a
-     * uniform override stays deterministic across runs and worker
-     * counts. The defaults reproduce the historical solver bit-exactly.
-     */
-    SatParams sat_params;
-    /**
-     * Portfolio dispatch: classify each model-less query by cheap
-     * features (QueryFeatures) and run the class's tuned strategy
-     * (interval-first vs SAT-first order, core minimization on/off,
-     * SatParams preset, and -- on budgeted fresh-path stragglers --
-     * sequential-deterministic racing of a second configuration).
-     *
-     * Witness identity is preserved by construction: model-producing
-     * queries always bypass the dispatcher and solve on the default
-     * fresh path, unbudgeted verdicts are strategy-independent (every
-     * preset is a complete search), and raced budgeted queries settle
-     * their stream budget as undecided regardless of the race outcome,
-     * so the budget trajectory -- and with it every downstream
-     * kUnsat/kUnknown boundary -- is bitwise identical portfolio on or
-     * off; a race can only upgrade a kUnknown to the verdict the query
-     * truly has. kUnknown conservatism stays gated by unbudgeted() as
-     * before.
-     */
-    bool portfolio = false;
 
     /** True when queries run with no conflict budget of either kind --
      *  the precondition for the incremental backend and for every
@@ -492,16 +407,8 @@ class Solver
 
     ExprContext *ctx() { return ctx_; }
     const SolverConfig &config() const { return config_; }
-    const StatsRegistry &stats() const
-    {
-        FlushClassCounters();
-        return stats_;
-    }
-    StatsRegistry *mutable_stats()
-    {
-        FlushClassCounters();
-        return &stats_;
-    }
+    const StatsRegistry &stats() const { return stats_; }
+    StatsRegistry *mutable_stats() { return &stats_; }
 
     /**
      * Event counts summed over every SAT instance this solver ran, fresh
@@ -510,46 +417,6 @@ class Solver
      * from these, so the two always agree; reading this is free.
      */
     const SatCounters &sat_counters() const { return sat_totals_; }
-
-    /**
-     * Hint from a knowledge-base consumer (the explorer's PruneIndex
-     * probe loop): the upcoming query resembled a stored refutation but
-     * was not subsumed by it. The portfolio classifier treats the next
-     * query as one class harder. Purely advisory -- it can only steer
-     * search order, never verdicts.
-     */
-    void NotePruneNearMiss() { prune_near_miss_ = true; }
-
-    // -- Portfolio classification (static: unit-testable, and provably
-    //    context-independent -- the features depend only on the live
-    //    assertion structure and the caller-supplied stream rates). ----
-
-    /**
-     * Per-root depth memo: a term's depth is a pure structural
-     * property of the expression DAG, so caching it per node is sound
-     * for the node's lifetime (nodes are owned by the ExprContext and
-     * outlive the solver). Entries are only ever looked up by key --
-     * never ordered or iterated -- so pointer keys cannot leak
-     * address order into behavior.
-     */
-    using DepthMemo = std::unordered_map<ExprRef, uint32_t>;
-
-    /**
-     * Extract the classifier features for a canonical live set. With
-     * `depth_memo` the per-root depth walks are cached across calls
-     * (the dispatch hot path passes the solver's memo: live sets
-     * share prefix terms across thousands of stream queries);
-     * without, every root is walked fresh -- same values either way.
-     */
-    static QueryFeatures ExtractFeatures(const std::vector<ExprRef> &live,
-                                         bool prune_near_miss,
-                                         double unknown_rate,
-                                         double conflict_rate,
-                                         DepthMemo *depth_memo = nullptr);
-    /** Bucket features into a class. */
-    static QueryClass Classify(const QueryFeatures &features);
-    /** The tuned strategy for a class, derived from `base` params. */
-    static QueryStrategy StrategyFor(QueryClass c, const SatParams &base);
 
   protected:
     /**
@@ -592,18 +459,13 @@ class Solver
                       std::vector<uint32_t> *caller_index,
                       uint32_t *false_index) const;
 
-    /** `strategy` is non-null only for portfolio-dispatched (model-less)
-     *  queries; model-producing solves always run the default preset so
-     *  witness bytes stay a pure function of the canonical query. */
     CheckStatus SolveFresh(const std::vector<ExprRef> &live,
-                           Model *out_model,
-                           const QueryStrategy *strategy = nullptr);
+                           Model *out_model);
     /** Returns the status plus, on kUnsat with cores enabled, the core
      *  as indices into `live`. */
     CheckStatus SolveIncremental(const std::vector<ExprRef> &live,
                                  bool *has_core,
-                                 std::vector<uint32_t> *core,
-                                 const QueryStrategy *strategy = nullptr);
+                                 std::vector<uint32_t> *core);
 
     /** Build the persistent incremental instance on first use, with
      *  the lemma-export hook wired. It lives as long as the solver: a
@@ -669,37 +531,10 @@ class Solver
     /** Stream-budget running state (see StreamBudget). */
     double stream_base_ = -1.0;
     int64_t stream_carry_ = 0;
-    /** One-shot classifier hint from NotePruneNearMiss(), consumed by
-     *  the next query (hit or miss -- it described that query). */
-    bool prune_near_miss_ = false;
-    /** Rolling stream state behind the classifier's rate features:
-     *  solved (non-memoized) queries, their kUnknown answers, and the
-     *  SAT conflicts they burned. Only maintained under portfolio. */
-    int64_t stream_queries_ = 0;
-    int64_t stream_unknowns_ = 0;
-    int64_t stream_conflict_sum_ = 0;
-    /** Bounded saturating depth of one root term; memoized in `memo`
-     *  when non-null (see DepthMemo). */
-    static uint32_t RootDepth(ExprRef root, DepthMemo *memo);
-    /** The dispatch path's depth cache: live sets repeat their prefix
-     *  terms across the whole query stream, so classification decays
-     *  to one hash lookup per root instead of a DAG walk per query. */
-    DepthMemo depth_memo_;
     /** Counters summed over every SAT instance this solver ran (see
      *  sat_counters()). */
     SatCounters sat_totals_;
-    /** Per-class dispatch tallies accumulate in these plain arrays --
-     *  the string keys ("solver.class_queries/..." etc.) are past the
-     *  small-string optimization, so bumping the registry per query
-     *  would pay a heap allocation on the hot path. The tallies flush
-     *  into stats_ whenever the registry is read (stats() /
-     *  mutable_stats()), which is why stats_ and the arrays are
-     *  mutable: the flush is an observably-pure cache writeback. */
-    void FlushClassCounters() const;
-    mutable int64_t class_queries_ct_[kNumQueryClasses] = {};
-    mutable int64_t class_decided_ct_[kNumQueryClasses] = {};
-    mutable int64_t class_unknown_ct_[kNumQueryClasses] = {};
-    mutable StatsRegistry stats_;
+    StatsRegistry stats_;
     /** Live obs instruments on this solver's lane shard (inert handles
      *  when config_.obs carries no registry). */
     obs::MetricsRegistry::Counter obs_queries_;
@@ -710,10 +545,6 @@ class Solver
     obs::MetricsRegistry::Distribution obs_conflicts_;
     obs::MetricsRegistry::Distribution obs_core_size_;
     obs::MetricsRegistry::Distribution obs_batch_rounds_;
-    /** Per-class portfolio counters (queries seen / decided), live on
-     *  the lane shard like the rest; inert when obs is off. */
-    obs::MetricsRegistry::Counter obs_class_queries_[kNumQueryClasses];
-    obs::MetricsRegistry::Counter obs_class_decided_[kNumQueryClasses];
 };
 
 }  // namespace smt

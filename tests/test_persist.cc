@@ -59,7 +59,9 @@ WriteFile(const std::string &path, const std::vector<uint8_t> &bytes)
     std::FILE *f = std::fopen(path.c_str(), "wb");
     if (f == nullptr)
         return false;
-    const size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f);
+    // An empty vector's data() may be null, which fwrite rejects.
+    const size_t n =
+        bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
     return std::fclose(f) == 0 && n == bytes.size();
 }
 
@@ -70,11 +72,9 @@ SampleSnapshot()
 {
     KnowledgeSnapshot snap;
     snap.protocol_fingerprint = 0xfeedface;
-    snap.cores.push_back({{{5, 5}, {6, 6}}, {{9, 9}}, 0});
-    snap.cores.push_back({{{1, 1}}, {{2, 2}}, 0});
-    snap.cores.push_back({{{1, 1}}, {{2, 2}}, 0});  // duplicate
+    snap.overlay.push_back({{{5, 5}, {6, 6}}, {{9, 9}}, 778});
     snap.overlay.push_back({{{3, 3}}, {{4, 4}}, 777});
-    snap.query_cores.push_back({{{1, 1}, {2, 2}}, {{1, 1}}});
+    snap.overlay.push_back({{{3, 3}}, {{4, 4}}, 777});  // duplicate
     snap.lemmas.push_back({{8, 8}, {9, 9}});
     snap.lemmas.push_back({{7, 7}});
     exec::QueryCache::ExportedEntry q;
@@ -84,8 +84,10 @@ SampleSnapshot()
     q.model_values = {{1, 0x41}, {2, 0x5a}};
     snap.queries.push_back(q);
     exec::QueryCache::ExportedEntry u;
-    u.fingerprints = {{13, 13}};
+    u.fingerprints = {{13, 13}, {14, 14}};
     u.status = smt::CheckStatus::kUnsat;
+    u.has_core = true;
+    u.core = {{14, 14}};
     snap.queries.push_back(u);
     return snap;
 }
@@ -105,13 +107,13 @@ TEST(PersistTest, SaveLoadRoundTripIsIdentity)
                                       &loaded, &error))
         << error;
     EXPECT_EQ(loaded.protocol_fingerprint, snap.protocol_fingerprint);
-    // Canonicalization deduplicated the repeated core.
-    EXPECT_EQ(loaded.cores.size(), 2u);
-    EXPECT_EQ(loaded.overlay.size(), 1u);
-    EXPECT_EQ(loaded.overlay[0].payload, 777u);
-    EXPECT_EQ(loaded.query_cores.size(), 1u);
+    // Canonicalization deduplicated the repeated overlay entry.
+    ASSERT_EQ(loaded.overlay.size(), 2u);
+    EXPECT_EQ(loaded.overlay[0].field_token, 777u);
     EXPECT_EQ(loaded.lemmas.size(), 2u);
-    EXPECT_EQ(loaded.queries.size(), 2u);
+    ASSERT_EQ(loaded.queries.size(), 2u);
+    EXPECT_TRUE(loaded.queries[1].has_core);
+    EXPECT_EQ(loaded.queries[1].core, (exec::QueryFingerprints{{14, 14}}));
 
     // Deterministic bytes: re-saving the loaded snapshot reproduces the
     // file bit for bit.
@@ -135,7 +137,7 @@ TEST(PersistTest, TruncatedFileIsRejected)
         ASSERT_TRUE(WriteFile(
             bad, std::vector<uint8_t>(bytes.begin(), bytes.begin() + keep)));
         KnowledgeSnapshot out;
-        out.cores.push_back({});  // must be cleared on failure
+        out.overlay.push_back({});  // must be cleared on failure
         EXPECT_FALSE(persist::LoadSnapshot(bad, 0xfeedface, &out, &error))
             << "accepted a file truncated to " << keep << " bytes";
         EXPECT_TRUE(out.Empty());
@@ -204,32 +206,27 @@ TEST(PersistTest, VersionAndFingerprintMismatchesFallBackToCold)
 TEST(PersistTest, PruneIndexExportImportPreservesSubsumption)
 {
     exec::PruneIndex source;
-    source.RecordCore(0, PruneFpVec{{1, 1}, {2, 2}}, PruneFpVec{{9, 9}});
     source.RecordFieldCore(0, 777, PruneFpVec{{3, 3}},
                            PruneFpVec{{4, 4}});
-    source.RecordQueryCore(PruneFpVec{{5, 5}, {6, 6}}, PruneFpVec{{5, 5}});
+    source.RecordFieldCore(0, 778, PruneFpVec{{1, 1}, {2, 2}},
+                           PruneFpVec{{9, 9}});
 
     KnowledgeSnapshot snap;
     persist::CaptureKnowledge(&source, nullptr, nullptr, &snap);
-    EXPECT_EQ(snap.cores.size(), 1u);
-    EXPECT_EQ(snap.overlay.size(), 1u);
-    EXPECT_EQ(snap.query_cores.size(), 1u);
+    EXPECT_EQ(snap.overlay.size(), 2u);
 
     exec::PruneIndex restored;
     persist::RestoreKnowledge(snap, &restored, nullptr, nullptr);
-    EXPECT_EQ(restored.imported(), 3);
-    EXPECT_TRUE(restored.SubsumesCore(1, PruneFpVec{{1, 1}, {2, 2}},
-                                      PruneFpVec{{9, 9}}));
+    EXPECT_EQ(restored.imported(), 2);
+    uint64_t token = 0;
+    EXPECT_TRUE(restored.OverlaySubsumes(1, PruneFpVec{{1, 1}, {2, 2}},
+                                         PruneFpVec{{9, 9}}, &token));
+    EXPECT_EQ(token, 778u);
     // Imported entries attribute consumer hits as cross-worker.
     EXPECT_GT(restored.cross_worker_hits(), 0);
-    uint64_t token = 0;
     EXPECT_TRUE(restored.OverlaySubsumes(1, PruneFpVec{{3, 3}},
                                          PruneFpVec{{4, 4}}, &token));
     EXPECT_EQ(token, 777u);
-    PruneFpVec core;
-    EXPECT_TRUE(
-        restored.LookupQueryCore(PruneFpVec{{5, 5}, {6, 6}}, &core));
-    EXPECT_EQ(core, (PruneFpVec{{5, 5}}));
 }
 
 TEST(PersistTest, QueryCacheImportRecomputesKeysAndServesHits)

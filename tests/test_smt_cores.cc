@@ -2,8 +2,7 @@
 //
 // Unsat cores over assumptions, end to end: analyze-final extraction
 // and refute-only deletion minimization in the SAT solver, caller-index
-// mapping and cache round-trips in the Solver facade, fingerprint
-// translation through the shared cross-worker query cache, and the two
+// mapping and cache round-trips in the Solver facade, and the two
 // standing contracts at the explorer level -- witness sets bitwise
 // identical across worker counts 1/2/4/8 with cores on or off, and
 // core-guided drops never firing on kUnknown or budgeted queries.
@@ -11,15 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <mutex>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/achilles.h"
 #include "core/path_predicate.h"
-#include "exec/expr_transfer.h"
-#include "exec/query_cache.h"
 #include "proto/fsp/fsp_protocol.h"
 #include "smt/sat.h"
 #include "smt/solver.h"
@@ -271,75 +267,6 @@ TEST_F(SolverCoreTest, DisabledCoresNeverSurface)
     EXPECT_FALSE(r.has_core);
 }
 
-// -------------------------------------------------- shared query cache
-
-TEST(QueryCacheCoreTest, CoresTranslateAcrossContexts)
-{
-    ExprContext home;
-    ExprRef x = home.FreshVar("x", 8);
-    ExprRef y = home.FreshVar("y", 8);
-    ExprRef irrelevant = home.MakeEq(y, home.MakeConst(8, 5));
-    ExprRef lt = home.MakeUlt(x, home.MakeConst(8, 10));
-    ExprRef ge = home.MakeUge(x, home.MakeConst(8, 20));
-
-    ExprContext remote;
-    std::mutex mutex;
-    exec::ExprBridge bridge(&home, &remote, &mutex);
-    bridge.MirrorHomeVars();
-
-    exec::QueryCache cache;
-    // Core storage is delegated to the pruning knowledge base; a cache
-    // without one still answers verdicts but replays no cores.
-    exec::PruneIndex prune;
-    cache.SetPruneIndex(&prune);
-    const uint32_t limit = home.NumVars();
-    exec::CachedSolver home_solver(&home, &cache, limit);
-    exec::CachedSolver remote_solver(&remote, &cache, limit);
-
-    const CheckResult first =
-        home_solver.CheckSat({irrelevant, lt, ge});
-    ASSERT_EQ(first, CheckResult::kUnsat);
-    ASSERT_TRUE(first.has_core);
-    EXPECT_EQ(first.core, (std::vector<uint32_t>{1, 2}));
-
-    // The remote worker's probe hits the shared entry and re-anchors
-    // the fingerprint core to its own (reordered) assertion indices.
-    const CheckResult hit = remote_solver.CheckSat(
-        {bridge.ToRemote(ge), bridge.ToRemote(irrelevant),
-         bridge.ToRemote(lt)});
-    ASSERT_EQ(hit, CheckResult::kUnsat);
-    ASSERT_TRUE(hit.has_core);
-    EXPECT_EQ(hit.core, (std::vector<uint32_t>{0, 2}));
-    EXPECT_EQ(cache.hits(), 1);
-}
-
-TEST(QueryCacheCoreTest, CoreUpgradeFillsCorelessUnsatEntries)
-{
-    exec::QueryCache cache;
-    exec::PruneIndex prune;
-    cache.SetPruneIndex(&prune);
-    exec::QueryCacheKey key{21, 22};
-    exec::QueryFingerprints fp{{1, 2}, {3, 4}};
-    const exec::QueryFingerprints core{{3, 4}};
-
-    cache.Insert(key, fp, CheckStatus::kUnsat, /*has_model=*/false,
-                 Model());
-    CheckStatus status;
-    bool has_core = false;
-    exec::QueryFingerprints out_core;
-    ASSERT_TRUE(cache.Lookup(key, fp, /*want_model=*/false, &status,
-                             nullptr, &has_core, &out_core));
-    EXPECT_FALSE(has_core);
-
-    cache.Insert(key, fp, CheckStatus::kUnsat, /*has_model=*/false,
-                 Model(), /*has_core=*/true, core);
-    ASSERT_TRUE(cache.Lookup(key, fp, /*want_model=*/false, &status,
-                             nullptr, &has_core, &out_core));
-    EXPECT_TRUE(has_core);
-    EXPECT_EQ(out_core, core);
-    EXPECT_EQ(cache.size(), 1u);
-}
-
 // ----------------------------------------------------------- explorer
 
 using WitnessSummary =
@@ -349,7 +276,6 @@ struct PipelineRun
 {
     std::vector<WitnessSummary> witnesses;
     int64_t core_drops = 0;
-    int64_t trojan_subsumed = 0;
     int64_t match_queries = 0;
 };
 
@@ -379,8 +305,6 @@ RunFspPipeline(size_t workers, bool cores, bool difffrom,
 
     PipelineRun run;
     run.core_drops = result.server.stats.Get("explorer.core_drops");
-    run.trojan_subsumed =
-        result.server.stats.Get("explorer.trojan_core_subsumed");
     run.match_queries =
         result.server.stats.Get("explorer.match_queries");
     core::CanonicalHasher hasher(&ctx);
@@ -420,13 +344,11 @@ TEST(ExplorerCoreTest, BudgetedSolverNeverCoreDrops)
 {
     // With a conflict budget the solver can answer kUnknown; the
     // explorer must fall back to plain per-predicate queries -- zero
-    // core-guided drops and zero Trojan-core subsumptions, even with
-    // the toggle on.
+    // core-guided drops, even with the toggle on.
     const PipelineRun run = RunFspPipeline(
         /*workers=*/1, /*cores=*/true, /*difffrom=*/false,
         /*max_conflicts=*/3);
     EXPECT_EQ(run.core_drops, 0);
-    EXPECT_EQ(run.trojan_subsumed, 0);
 }
 
 }  // namespace

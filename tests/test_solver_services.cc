@@ -534,7 +534,6 @@ struct PipelineRun
 {
     std::vector<WitnessSummary> witnesses;
     int64_t core_drops = 0;
-    int64_t trojan_subsumed = 0;
     int64_t lemmas_published = 0;
     size_t accepting_paths = 0;
 };
@@ -560,8 +559,6 @@ RunFspPipeline(size_t workers, const SolverConfig &solver_config)
 
     PipelineRun run;
     run.core_drops = result.server.stats.Get("explorer.core_drops");
-    run.trojan_subsumed =
-        result.server.stats.Get("explorer.trojan_core_subsumed");
     run.lemmas_published =
         result.server.stats.Get("exec.lemmas_published");
     run.accepting_paths = result.server.accepting_paths.size();
@@ -577,9 +574,9 @@ RunFspPipeline(size_t workers, const SolverConfig &solver_config)
 TEST(StreamBudgetTest, ExplorerNeverDropsOnStreamBudget)
 {
     // A stream-budgeted solver can answer kUnknown, so the explorer
-    // must never consume cores: zero core-guided drops, zero
-    // Trojan-core subsumptions, and exploration stays a (conservative)
-    // superset of the unbudgeted run's accepting paths.
+    // must never consume cores: zero core-guided drops, and
+    // exploration stays a (conservative) superset of the unbudgeted
+    // run's accepting paths.
     SolverConfig unbudgeted;
     const PipelineRun real = RunFspPipeline(1, unbudgeted);
 
@@ -589,7 +586,6 @@ TEST(StreamBudgetTest, ExplorerNeverDropsOnStreamBudget)
     budgeted.stream_budget.carry = 0.0;
     const PipelineRun run = RunFspPipeline(1, budgeted);
     EXPECT_EQ(run.core_drops, 0);
-    EXPECT_EQ(run.trojan_subsumed, 0);
     EXPECT_GE(run.accepting_paths, real.accepting_paths);
 }
 
