@@ -270,7 +270,7 @@ RunTrojanStream(TrojanWorkload *w, bool incremental, bool cores,
     SolverConfig config;
     config.enable_incremental = incremental;
     config.enable_cores = cores;
-    config.enable_cache = false;  // isolate the backend, not the memo
+    config.enable_cache = false;  // isolate the backend, not the cache
     Solver solver(&w->ctx, config);
     results->clear();
     Timer timer;
@@ -346,7 +346,7 @@ RunProbeStream(TrailWorkload *w, bool trail_reuse,
                std::vector<CheckStatus> *results, int64_t *trail_reuses)
 {
     SolverConfig config;
-    config.enable_cache = false;  // isolate the backend, not the memo
+    config.enable_cache = false;  // isolate the backend, not the cache
     // Bypass the interval pre-check: with attribution cores it decides
     // the range-conflict probes outright, and this ablation measures
     // the SAT trail.

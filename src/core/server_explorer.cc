@@ -775,7 +775,7 @@ ServerExplorer::RunParallel()
     exec::ParallelEngine::KnowledgeHook restore;
     if (config_.knowledge_in != nullptr) {
         const persist::KnowledgeSnapshot *in = config_.knowledge_in;
-        restore = [in](exec::PruneIndex *prune, exec::QueryCache *cache,
+        restore = [in](exec::PruneIndex *prune, smt::QueryCache *cache,
                        exec::ClauseExchange *exchange) {
             persist::RestoreKnowledge(*in, prune, cache, exchange);
         };
@@ -783,7 +783,7 @@ ServerExplorer::RunParallel()
     exec::ParallelEngine::KnowledgeHook capture;
     if (config_.knowledge_out != nullptr) {
         persist::KnowledgeSnapshot *out = config_.knowledge_out;
-        capture = [out](exec::PruneIndex *prune, exec::QueryCache *cache,
+        capture = [out](exec::PruneIndex *prune, smt::QueryCache *cache,
                         exec::ClauseExchange *exchange) {
             persist::CaptureKnowledge(prune, cache, exchange, out);
         };

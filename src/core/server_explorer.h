@@ -84,7 +84,10 @@ struct ServerExplorerConfig
      * (exec::PruneIndex). Every hit answers exactly what the skipped
      * solver query would have answered, so witness sets are bitwise
      * identical with the index on or off; like all core reuse it is
-     * inert on budgeted solvers.
+     * inert on budgeted solvers. Kept as a toggle separate from
+     * use_different_from because it pays on fsp (119 overlay hits) and
+     * the planned minimal reference configuration (ROADMAP item 4(a))
+     * turns it off.
      */
     bool use_prune_index = true;
     /** Entry cap for the explorer-owned overlay (serial runs) and the
@@ -258,11 +261,11 @@ class ServerExplorer : public symexec::Listener
      * per-predicate expression tables the logic runs against, plus the
      * sinks it writes to. The serial path uses a single home plane; with
      * num_workers > 1 each worker gets a plane of bridge-translated
-     * expressions, its own CachedSolver and private sinks, so the
-     * LiveSet bookkeeping and witness emission never share mutable
-     * state across threads. Cross-plane pruning knowledge flows only
-     * through the shared PruneIndex, in context-independent
-     * fingerprints.
+     * expressions, its own solver (handed the run's shared query cache)
+     * and private sinks, so the LiveSet bookkeeping and witness
+     * emission never share mutable state across threads. Cross-plane
+     * pruning knowledge flows only through the shared PruneIndex and
+     * the shared query cache, in context-independent fingerprints.
      */
     struct Plane
     {

@@ -11,7 +11,7 @@
 // cache), so a consumer re-anchors them to its own activation literals
 // without any expression bridging.
 //
-// Sharding mirrors exec/query_cache: lemmas are distributed over
+// Sharding mirrors smt/query_cache: lemmas are distributed over
 // independent lock-striped shards keyed by their first fingerprint, and
 // each shard keeps a log plus a dedup set. Consumers poll with a
 // per-consumer cursor (one position per shard), so a fetch hands out

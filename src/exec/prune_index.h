@@ -16,7 +16,7 @@
 //
 // Soundness: every stored fact is a refutation the solver actually
 // produced, translated into the same context-independent fingerprint
-// currency as exec/expr_transfer, exec/query_cache and
+// currency as exec/expr_transfer, smt/query_cache and
 // exec/clause_exchange. A hit answers exactly what the skipped query
 // would have answered (kUnsat), so live sets -- and therefore witness
 // sets -- are bitwise identical with the index on or off, at any worker

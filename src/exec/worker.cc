@@ -44,7 +44,7 @@ ParallelEngine::Run()
     // rule as the cache's keys.
     prune_config_.shared_var_limit = shared_var_limit;
     prune_index_ = std::make_unique<PruneIndex>(prune_config_);
-    cache_ = std::make_unique<QueryCache>();
+    cache_ = std::make_unique<smt::QueryCache>();
     // The learned-clause exchange shares one worker's short refutation
     // lemmas with its siblings. Only meaningful with siblings to share
     // with, and only wired when the incremental backends that produce
@@ -79,12 +79,6 @@ ParallelEngine::Run()
     // queued-state count overrides any serial engine.frontier gauge.)
     if (config_.obs.metrics_on()) {
         obs::MetricsRegistry *reg = config_.obs.registry;
-        const QueryCache *cache = cache_.get();
-        reg->RegisterGauge("cache.hits", [cache] { return cache->hits(); });
-        reg->RegisterGauge("cache.misses",
-                           [cache] { return cache->misses(); });
-        reg->RegisterGauge("cache.collisions",
-                           [cache] { return cache->collisions(); });
         const PruneIndex *prune = prune_index_.get();
         reg->RegisterGauge("prune.overlay_hits",
                            [prune] { return prune->overlay_hits(); });
@@ -141,8 +135,8 @@ ParallelEngine::Run()
             // prefix -- the same portability rule as the query cache.
             worker_config.clause_share_var_limit = shared_var_limit;
         }
-        wc->solver = std::make_unique<CachedSolver>(
-            &wc->ctx, cache_.get(), shared_var_limit, worker_config);
+        wc->solver = std::make_unique<smt::Solver>(
+            &wc->ctx, worker_config, cache_.get(), shared_var_limit);
         wc->engine = std::make_unique<symexec::Engine>(
             &wc->ctx, wc->solver.get(), program_, mode_, engine_config);
         wc->engine->SetFinalizeGate([this] {
@@ -213,9 +207,6 @@ ParallelEngine::Run()
         const auto freeze = [reg](const std::string &name, int64_t value) {
             reg->RegisterGauge(name, [value] { return value; });
         };
-        freeze("cache.hits", cache_->hits());
-        freeze("cache.misses", cache_->misses());
-        freeze("cache.collisions", cache_->collisions());
         freeze("prune.overlay_hits", prune_index_->overlay_hits());
         freeze("prune.overlay_probes", prune_index_->overlay_probes());
         freeze("prune.cross_worker_hits",

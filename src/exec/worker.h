@@ -1,11 +1,11 @@
 // Achilles reproduction -- parallel exploration subsystem.
 //
 // The worker pool. Each worker owns a full private solving stack -- an
-// ExprContext replica, a CachedSolver (its own bit-blasting solver
-// behind the shared cross-worker query cache, with a private
-// incremental assumption-based SAT backend that persists CNF and
-// learned clauses across the worker's model-less query stream) and a
-// symexec::Engine driven state-by-state -- plus an ExprBridge that
+// ExprContext replica, an smt::Solver (its own bit-blasting solver,
+// handed the run's shared query cache, with a private incremental
+// assumption-based SAT backend that persists CNF and learned clauses
+// across the worker's model-less query stream) and a symexec::Engine
+// driven state-by-state -- plus an ExprBridge that
 // re-homes states stolen from other workers, and a ClauseChannel onto
 // the shared learned-clause exchange so one worker's short refutation
 // lemmas prune its siblings' searches (exec/clause_exchange.h).
@@ -26,8 +26,8 @@
 // incremental backend reports a core as indices into the caller's own
 // assertion vectors (already in that worker's context), and the shared
 // query cache stores cores as context-independent structural
-// fingerprints that each CachedSolver re-anchors to its caller's
-// indices on a hit (exec/query_cache.h). Cores from different solver
+// fingerprints that each worker's solver re-anchors to its caller's
+// indices on a hit (smt/query_cache.h). Cores from different solver
 // histories may differ, but every core proves the same kUnsat verdict,
 // so core-guided consumers (the server explorer's predicate dropping)
 // stay schedule-independent in their results even when their skipped
@@ -45,8 +45,8 @@
 #include "exec/clause_exchange.h"
 #include "exec/expr_transfer.h"
 #include "exec/prune_index.h"
-#include "exec/query_cache.h"
 #include "exec/scheduler.h"
+#include "smt/query_cache.h"
 #include "smt/solver.h"
 #include "support/stats.h"
 #include "symexec/engine.h"
@@ -65,7 +65,7 @@ struct WorkerContext
      *  clause_sink/clause_source point at it, so it is declared before
      *  the solver to outlive it through teardown. */
     std::unique_ptr<ClauseChannel> clause_channel;
-    std::unique_ptr<CachedSolver> solver;
+    std::unique_ptr<smt::Solver> solver;
     std::unique_ptr<symexec::Engine> engine;
     /** Worker-context replicas of the home incoming-message bytes. */
     std::vector<smt::ExprRef> incoming;
@@ -123,8 +123,8 @@ class ParallelEngine
      * persistence layer (src/persist), which this subsystem must not
      * depend on -- callers inject the snapshot logic from above.
      */
-    using KnowledgeHook =
-        std::function<void(PruneIndex *, QueryCache *, ClauseExchange *)>;
+    using KnowledgeHook = std::function<void(PruneIndex *, smt::QueryCache *,
+                                             ClauseExchange *)>;
 
     /**
      * `restore` runs after the shared stores are constructed and before
@@ -151,7 +151,7 @@ class ParallelEngine
 
     size_t num_workers() const { return workers_.size(); }
     WorkerContext &worker(size_t i) { return *workers_[i]; }
-    QueryCache *query_cache() { return cache_.get(); }
+    smt::QueryCache *query_cache() { return cache_.get(); }
     /** The shared lemma pool (null when the exchange is disabled). */
     ClauseExchange *clause_exchange() { return clause_exchange_.get(); }
     /** The run's shared differentFrom overlay. */
@@ -171,7 +171,7 @@ class ParallelEngine
     std::mutex home_mutex_;
     PruneIndexConfig prune_config_;
     std::unique_ptr<PruneIndex> prune_index_;
-    std::unique_ptr<QueryCache> cache_;
+    std::unique_ptr<smt::QueryCache> cache_;
     std::unique_ptr<ClauseExchange> clause_exchange_;
     std::unique_ptr<WorkStealingScheduler> scheduler_;
     std::vector<std::unique_ptr<WorkerContext>> workers_;

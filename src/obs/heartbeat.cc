@@ -38,11 +38,11 @@ HeartbeatSample::Format() const
     std::snprintf(
         buf, sizeof(buf),
         "progress t=%.1fs states=%lld frontier=%lld queries=%lld "
-        "(%.1f/s) cache=%.1f%% prune=%.1f%% overlay=%.1f%% "
+        "(%.1f/s) cache=%.1f%% overlay=%.1f%% "
         "lemmas=%lld/%lld unknown=%.1f%%",
         elapsed_seconds, static_cast<long long>(states_explored),
         static_cast<long long>(frontier), static_cast<long long>(queries),
-        queries_per_sec, cache_hit_rate, prune_hit_rate, overlay_hit_rate,
+        queries_per_sec, cache_hit_rate, overlay_hit_rate,
         static_cast<long long>(lemmas_published),
         static_cast<long long>(lemmas_fetched), unknown_rate);
     return buf;
@@ -116,8 +116,6 @@ Heartbeat::Sample()
     const int64_t cache_hits = ValueOf(agg, "cache.hits");
     s.cache_hit_rate =
         Percent(cache_hits, cache_hits + ValueOf(agg, "cache.misses"));
-    s.prune_hit_rate = Percent(ValueOf(agg, "prune.core_hits"),
-                               ValueOf(agg, "prune.core_probes"));
     s.overlay_hit_rate = Percent(ValueOf(agg, "prune.overlay_hits"),
                                  ValueOf(agg, "prune.overlay_probes"));
     s.lemmas_published = ValueOf(agg, "lemmas.published");

@@ -5,8 +5,8 @@
 // (relaxed loads plus registered gauges -- it never touches worker
 // structures), and reports one line of live run state:
 //
-//   states explored, frontier depth, queries + queries/sec, cache /
-//   prune-index / overlay hit rates, lemma traffic, kUnknown rate
+//   states explored, frontier depth, queries + queries/sec, query-cache
+//   and differentFrom-overlay hit rates, lemma traffic, kUnknown rate
 //
 // Rates are deltas between consecutive samples. The line goes through
 // the leveled logger by default (whole-line writes, run-id prefix); a
@@ -37,8 +37,7 @@ struct HeartbeatSample
     int64_t frontier = 0;
     int64_t queries = 0;
     double queries_per_sec = 0.0;
-    double cache_hit_rate = 0.0;    ///< shared query cache, percent
-    double prune_hit_rate = 0.0;    ///< prune-index core probes, percent
+    double cache_hit_rate = 0.0;    ///< query-cache probes, percent
     double overlay_hit_rate = 0.0;  ///< differentFrom overlay, percent
     int64_t lemmas_published = 0;
     int64_t lemmas_fetched = 0;

@@ -12,7 +12,7 @@
 //                 conflicts, core sizes, path depths); per-shard slots,
 //                 CAS only for min/max.
 //   Gauge         a registered callback snapshotting an external atomic
-//                 (the query cache's hit counters, the scheduler's
+//                 (the overlay's hit counters, the scheduler's
 //                 queued-state count); read at aggregation time only,
 //                 so existing lock-free component counters are absorbed
 //                 into the registry without touching their hot paths.

@@ -182,7 +182,7 @@ DecodeLemmas(Reader *r, std::vector<exec::Lemma> *out)
 }
 
 std::vector<uint8_t>
-EncodeQueries(const std::vector<exec::QueryCache::ExportedEntry> &entries)
+EncodeQueries(const std::vector<smt::QueryCache::ExportedEntry> &entries)
 {
     std::vector<uint8_t> buf;
     PutU64(&buf, entries.size());
@@ -203,7 +203,7 @@ EncodeQueries(const std::vector<exec::QueryCache::ExportedEntry> &entries)
 
 bool
 DecodeQueries(Reader *r,
-              std::vector<exec::QueryCache::ExportedEntry> *out)
+              std::vector<smt::QueryCache::ExportedEntry> *out)
 {
     // Smallest entry: three counts, status, has_model and has_core.
     const uint64_t count = r->U64();
@@ -211,7 +211,7 @@ DecodeQueries(Reader *r,
         return false;
     out->reserve(static_cast<size_t>(count));
     for (uint64_t i = 0; i < count; ++i) {
-        exec::QueryCache::ExportedEntry e;
+        smt::QueryCache::ExportedEntry e;
         if (!GetFpVec(r, &e.fingerprints))
             return false;
         const uint8_t status = r->U8();
@@ -279,15 +279,15 @@ Canonicalize(KnowledgeSnapshot *snap)
     // has a core and a kUnsat model is empty, so this keeps the most
     // useful copy; models are pure functions of the query, so any
     // carrier has the same bytes), then the smallest core.
-    const auto q_less = [](const exec::QueryCache::ExportedEntry &a,
-                           const exec::QueryCache::ExportedEntry &b) {
+    const auto q_less = [](const smt::QueryCache::ExportedEntry &a,
+                           const smt::QueryCache::ExportedEntry &b) {
         return std::make_tuple(std::cref(a.fingerprints), !a.has_core,
                                !a.has_model, std::cref(a.core)) <
                std::make_tuple(std::cref(b.fingerprints), !b.has_core,
                                !b.has_model, std::cref(b.core));
     };
-    const auto q_same_query = [](const exec::QueryCache::ExportedEntry &a,
-                                 const exec::QueryCache::ExportedEntry &b) {
+    const auto q_same_query = [](const smt::QueryCache::ExportedEntry &a,
+                                 const smt::QueryCache::ExportedEntry &b) {
         return a.fingerprints == b.fingerprints;
     };
     std::sort(snap->queries.begin(), snap->queries.end(), q_less);
@@ -453,7 +453,7 @@ LoadSnapshot(const std::string &path, uint64_t expected_fingerprint,
 
 void
 RestoreKnowledge(const KnowledgeSnapshot &snapshot,
-                 exec::PruneIndex *prune, exec::QueryCache *cache,
+                 exec::PruneIndex *prune, smt::QueryCache *cache,
                  exec::ClauseExchange *exchange)
 {
     if (prune != nullptr)
@@ -466,7 +466,7 @@ RestoreKnowledge(const KnowledgeSnapshot &snapshot,
 
 void
 CaptureKnowledge(const exec::PruneIndex *prune,
-                 const exec::QueryCache *cache,
+                 const smt::QueryCache *cache,
                  const exec::ClauseExchange *exchange,
                  KnowledgeSnapshot *out)
 {

@@ -46,7 +46,7 @@
 
 #include "exec/clause_exchange.h"
 #include "exec/prune_index.h"
-#include "exec/query_cache.h"
+#include "smt/query_cache.h"
 
 namespace achilles {
 namespace persist {
@@ -68,7 +68,7 @@ struct KnowledgeSnapshot
     uint64_t protocol_fingerprint = 0;
     std::vector<exec::PruneIndex::ExportedEntry> overlay;
     std::vector<exec::Lemma> lemmas;
-    std::vector<exec::QueryCache::ExportedEntry> queries;
+    std::vector<smt::QueryCache::ExportedEntry> queries;
 
     bool
     Empty() const
@@ -109,13 +109,13 @@ bool LoadSnapshot(const std::string &path, uint64_t expected_fingerprint,
  * normal record paths, so dedup and eviction apply.
  */
 void RestoreKnowledge(const KnowledgeSnapshot &snapshot,
-                      exec::PruneIndex *prune, exec::QueryCache *cache,
+                      exec::PruneIndex *prune, smt::QueryCache *cache,
                       exec::ClauseExchange *exchange);
 
 /** Append the live stores' contents to `*out`; null stores are
  *  skipped. Does not touch `out->protocol_fingerprint`. */
 void CaptureKnowledge(const exec::PruneIndex *prune,
-                      const exec::QueryCache *cache,
+                      const smt::QueryCache *cache,
                       const exec::ClauseExchange *exchange,
                       KnowledgeSnapshot *out);
 

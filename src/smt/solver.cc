@@ -3,9 +3,13 @@
 #include "smt/solver.h"
 
 #include <algorithm>
+#include <limits>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "smt/bitblast.h"
 #include "smt/interval.h"
+#include "smt/query_cache.h"
 #include "smt/sat.h"
 
 namespace achilles {
@@ -56,14 +60,19 @@ struct Solver::IncrementalBackend
     IncrementalBackend() : blaster(&sat) {}
 };
 
-Solver::Solver(ExprContext *ctx, SolverConfig config)
-    : ctx_(ctx), config_(config),
+Solver::Solver(ExprContext *ctx, SolverConfig config,
+               QueryCache *shared_cache, uint32_t shared_var_limit)
+    : ctx_(ctx), config_(config), shared_cache_(shared_cache),
+      shared_var_limit_(shared_var_limit),
       stream_base_(static_cast<double>(config.stream_budget.base))
 {
+    if (config_.enable_cache)
+        cache_ = std::make_unique<QueryCache>(/*shards=*/1);
     if (config_.obs.metrics_on()) {
         obs_queries_ = config_.obs.CounterFor("solver.queries");
         obs_unknowns_ = config_.obs.CounterFor("solver.unknowns");
-        obs_memo_hits_ = config_.obs.CounterFor("solver.memo_hits");
+        obs_cache_hits_ = config_.obs.CounterFor("cache.hits");
+        obs_cache_misses_ = config_.obs.CounterFor("cache.misses");
         obs_batch_sweeps_ = config_.obs.CounterFor("solver.batch_sweeps");
         obs_batch_guards_ = config_.obs.CounterFor("solver.batch_guards");
         obs_conflicts_ = config_.obs.DistributionFor("solver.conflicts");
@@ -74,21 +83,57 @@ Solver::Solver(ExprContext *ctx, SolverConfig config)
 
 Solver::~Solver() = default;
 
-size_t
-Solver::AssertionsHash::operator()(
-    const std::vector<ExprRef> &assertions) const
+namespace {
+
+LemmaFingerprint
+FingerprintOf(ExprRef e)
 {
-    // Order-insensitive accumulation over node pointers (interning makes
-    // pointer identity equal structural identity). Collisions are
-    // harmless: the map compares the full vectors on lookup.
-    uint64_t key = 0x51ed270b9f9f2b4dull;
-    for (ExprRef e : assertions) {
-        uint64_t h = reinterpret_cast<uint64_t>(e);
-        h *= 0x9e3779b97f4a7c15ull;
-        h ^= h >> 29;
-        key += h;
+    return {e->struct_hash(), e->struct_hash2()};
+}
+
+/** A core in `live` indices as the sorted fingerprints the query cache
+ *  stores (`live` is duplicate-free, so they are too). */
+QueryFingerprints
+CoreFingerprints(const std::vector<ExprRef> &live,
+                 const std::vector<uint32_t> &live_core)
+{
+    QueryFingerprints out;
+    out.reserve(live_core.size());
+    for (uint32_t k : live_core)
+        out.push_back(FingerprintOf(live[k]));
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+}  // namespace
+
+QueryCache *
+Solver::KeyQuery(const std::vector<ExprRef> &live, QueryCacheKey *key,
+                 QueryFingerprints *fingerprints)
+{
+    if (!config_.enable_cache)
+        return nullptr;
+    if (shared_cache_ != nullptr &&
+        QueryCache::ComputeKey(live, shared_var_limit_, key, fingerprints))
+        return shared_cache_;
+    QueryCache::ComputeKey(live, std::numeric_limits<uint32_t>::max(), key,
+                           fingerprints);
+    return cache_.get();
+}
+
+void
+Solver::CountProbe(const QueryCache *cache, bool hit)
+{
+    // The shared cache counts its own hits (exported once per run as
+    // "exec.queries_cached"); the solver reports only its private one,
+    // so no hit is counted under both names.
+    if (hit) {
+        obs_cache_hits_.Bump();
+        if (cache == cache_.get())
+            stats_.Bump("solver.cache_hits");
+    } else {
+        obs_cache_misses_.Bump();
     }
-    return static_cast<size_t>(key);
 }
 
 CheckResult
@@ -241,8 +286,10 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
         return finish(CheckStatus::kSat);
     }
 
-    // Cores travel through both caches in canonical (live-vector)
-    // indices; per-call they are mapped to the caller's positions.
+    // Cores are computed in canonical (live-vector) indices and cached
+    // as assertion fingerprints; per call they are mapped to the
+    // caller's positions (first occurrence per duplicated assertion, per
+    // the CheckResult contract).
     const auto core_to_caller = [&](const std::vector<uint32_t> &live_core) {
         std::vector<uint32_t> out;
         out.reserve(live_core.size());
@@ -252,30 +299,58 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
         return out;
     };
 
-    CacheEntry *upgrade_entry = nullptr;
-    if (config_.enable_cache) {
-        auto it = cache_.find(live);
-        if (it != cache_.end()) {
-            CacheEntry &entry = it->second;
-            if (model == nullptr || entry.has_model) {
-                stats_.Bump("solver.cache_hits");
-                obs_memo_hits_.Bump();
-                if (model)
-                    *model = entry.model;
-                CheckResult result(entry.status);
-                if (entry.has_core && core_path) {
-                    result.has_core = true;
-                    result.core = core_to_caller(entry.core);
+    QueryCacheKey key;
+    QueryFingerprints fingerprints;
+    QueryCache *const cache = KeyQuery(live, &key, &fingerprints);
+    if (cache != nullptr) {
+        // A kSat entry cached off the model-less incremental path cannot
+        // serve a caller that wants a witness: that probe misses, and the
+        // fresh solve below fills the entry's model in place.
+        CheckStatus status;
+        bool has_core = false;
+        QueryFingerprints core;
+        const bool hit =
+            cache->Lookup(key, fingerprints, model != nullptr, &status,
+                          model, core_path ? &has_core : nullptr, &core);
+        CountProbe(cache, hit);
+        if (hit) {
+            CheckResult result(status);
+            if (has_core) {
+                std::vector<uint32_t> live_core;
+                for (uint32_t k = 0; k < live.size(); ++k) {
+                    if (std::binary_search(core.begin(), core.end(),
+                                           FingerprintOf(live[k])))
+                        live_core.push_back(k);
                 }
-                return finish(result);
+                result.has_core = true;
+                result.core = core_to_caller(live_core);
             }
-            // kSat cached off the model-less incremental path but the
-            // caller wants a witness: fall through to the fresh solve
-            // and fill the entry in place.
-            stats_.Bump("solver.cache_model_upgrades");
-            upgrade_entry = &entry;
+            return finish(result);
         }
     }
+    // Every decided answer below is published to the cache that was
+    // probed (kUnknown is never stored) before it is returned.
+    const auto decided = [&](CheckStatus status, const Model &out_model,
+                             bool has_core,
+                             const std::vector<uint32_t> &live_core) {
+        if (cache != nullptr &&
+            cache->Insert(key, fingerprints, status,
+                          /*has_model=*/model != nullptr, out_model,
+                          has_core,
+                          has_core ? CoreFingerprints(live, live_core)
+                                   : QueryFingerprints{}) &&
+            cache == cache_.get()) {
+            stats_.Bump("solver.cache_model_upgrades");
+        }
+        CheckResult result(status);
+        if (has_core) {
+            result.has_core = true;
+            result.core = core_to_caller(live_core);
+        }
+        if (model)
+            *model = out_model;
+        return finish(result);
+    };
 
     // Interval pre-check. On the core-producing path it runs in
     // attribution mode: the checker names the assertions that narrowed
@@ -284,37 +359,20 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
     // every consumer downstream drops predicates with. (PR 3 used to
     // skip the pre-check here because the checker could prove but not
     // explain.)
-    if (config_.use_interval_check && upgrade_entry == nullptr) {
+    if (config_.use_interval_check) {
         IntervalChecker checker(ctx_);
         if (core_path) {
             std::vector<uint32_t> interval_core;
             if (checker.DefinitelyUnsatWithCore(live, &interval_core)) {
                 stats_.Bump("solver.interval_unsat");
                 stats_.Bump("solver.interval_cores");
-                if (config_.enable_cache) {
-                    cache_.emplace(
-                        live, CacheEntry{CheckStatus::kUnsat,
-                                         /*has_model=*/true, Model(),
-                                         /*has_core=*/true,
-                                         interval_core});
-                }
-                CheckResult result(CheckStatus::kUnsat);
-                result.has_core = true;
-                result.core = core_to_caller(interval_core);
-                return finish(result);
+                return decided(CheckStatus::kUnsat, Model(), true,
+                               interval_core);
             }
         } else if (checker.DefinitelyUnsat(live)) {
             stats_.Bump("solver.interval_unsat");
-            if (config_.enable_cache) {
-                cache_.emplace(live,
-                               CacheEntry{CheckStatus::kUnsat,
-                                          /*has_model=*/true, Model(),
-                                          /*has_core=*/false, {}});
-            }
-            if (model)
-                *model = Model();
             // Proof without attribution: no core on this arm.
-            return finish(CheckStatus::kUnsat);
+            return decided(CheckStatus::kUnsat, Model(), false, {});
         }
     }
 
@@ -346,31 +404,7 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
             standing_live_.clear();  // the fresh values are newer
         }
     }
-
-    if (config_.enable_cache && status != CheckStatus::kUnknown) {
-        // has_model: kSat entries carry a model only when one was
-        // computed; kUnsat/kUnknown answers have the empty model by
-        // definition, so those entries can always serve model callers.
-        const bool has_model =
-            status != CheckStatus::kSat || model != nullptr;
-        if (upgrade_entry != nullptr) {
-            if (status == CheckStatus::kSat) {
-                upgrade_entry->model = out_model;
-                upgrade_entry->has_model = true;
-            }
-        } else {
-            cache_.emplace(live, CacheEntry{status, has_model, out_model,
-                                            got_core, live_core});
-        }
-    }
-    CheckResult result(status);
-    if (got_core) {
-        result.has_core = true;
-        result.core = core_to_caller(live_core);
-    }
-    if (model)
-        *model = out_model;
-    return finish(result);
+    return decided(status, out_model, got_core, live_core);
 }
 
 int64_t
@@ -633,10 +667,10 @@ Solver::CheckSatBatch(const std::vector<ExprRef> &base,
 
     if (!(config_.enable_incremental && config_.unbudgeted())) {
         // Budgeted or incremental-off configurations fall back to the
-        // per-group loop (virtual, so a decorator's shared cache is
-        // still consulted). kUnknown keeps its conservative meaning per
-        // group, and these configurations never produce cores, so the
-        // batch core-less contract holds for free.
+        // per-group loop (virtual, so a decorator still sees every
+        // call). kUnknown keeps its conservative meaning per group, and
+        // these configurations never produce cores, so the batch
+        // core-less contract holds for free.
         stats_.Bump("solver.batch_fallbacks");
         for (size_t i = 0; i < groups.size(); ++i)
             out.verdicts[i] = CheckSatAssuming(base, *groups[i]);
@@ -645,12 +679,16 @@ Solver::CheckSatBatch(const std::vector<ExprRef> &base,
         return out;
     }
 
-    // Answer what the memo cache and trivial canonicalization already
-    // know; only the residue is swept.
+    // Answer what the query cache and trivial canonicalization already
+    // know; only the residue is swept. A group is keyed on its canonical
+    // base ∥ group assertion set, exactly what CheckSatAssuming would
+    // key, so point queries and sweeps share entries.
     struct Residue
     {
         size_t index;
-        std::vector<ExprRef> live;  // canonical base ∥ group assertion set
+        QueryCache *cache;
+        QueryCacheKey key;
+        QueryFingerprints fingerprints;
     };
     std::vector<Residue> residue;
     residue.reserve(groups.size());
@@ -670,19 +708,23 @@ Solver::CheckSatBatch(const std::vector<ExprRef> &base,
             out.verdicts[i] = CheckStatus::kSat;
             continue;
         }
-        if (config_.enable_cache) {
-            auto it = cache_.find(live);
-            if (it != cache_.end()) {
-                // Status-only read: batch verdicts carry neither models
-                // nor cores, so any entry can serve.
-                stats_.Bump("solver.cache_hits");
-                obs_memo_hits_.Bump();
+        Residue r{i, nullptr, {}, {}};
+        r.cache = KeyQuery(live, &r.key, &r.fingerprints);
+        if (r.cache != nullptr) {
+            // Status-only read: batch verdicts carry neither models nor
+            // cores, so any entry can serve.
+            CheckStatus status;
+            const bool hit = r.cache->Lookup(r.key, r.fingerprints,
+                                             /*want_model=*/false, &status,
+                                             nullptr);
+            CountProbe(r.cache, hit);
+            if (hit) {
                 ++cache_hits;
-                out.verdicts[i] = it->second.status;
+                out.verdicts[i] = status;
                 continue;
             }
         }
-        residue.push_back(Residue{i, std::move(live)});
+        residue.push_back(std::move(r));
     }
 
     if (!residue.empty()) {
@@ -733,15 +775,13 @@ Solver::CheckSatBatch(const std::vector<ExprRef> &base,
             out.verdicts[residue[k].index] = status;
             if (status == CheckStatus::kSat)
                 any_sat = true;
-            if (config_.enable_cache && status != CheckStatus::kUnknown) {
+            if (residue[k].cache != nullptr) {
                 // kSat entries are model-less (upgraded in place by a
                 // later fresh-instance solve on first model demand);
                 // kUnsat entries are core-less per the batch contract.
-                cache_.emplace(residue[k].live,
-                               CacheEntry{status,
-                                          status != CheckStatus::kSat,
-                                          Model(), /*has_core=*/false,
-                                          {}});
+                residue[k].cache->Insert(residue[k].key,
+                                         residue[k].fingerprints, status,
+                                         /*has_model=*/false, Model());
             }
         }
         if (config_.retain_models && any_sat) {

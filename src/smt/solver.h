@@ -3,15 +3,14 @@
 // Solver facade: the QF_BV decision procedure used by every other layer
 // (symbolic execution feasibility checks, negate-operator overlap checks,
 // differentFrom precomputation, Trojan queries). Combines a fast interval
-// pre-check with bit-blasting + CDCL, plus a query cache, standing in for
-// the STP/Z3 usage in the paper.
+// pre-check with bit-blasting + CDCL, plus a query cache
+// (smt/query_cache.h), standing in for the STP/Z3 usage in the paper.
 
 #ifndef ACHILLES_SMT_SOLVER_H_
 #define ACHILLES_SMT_SOLVER_H_
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/obs.h"
@@ -108,6 +107,19 @@ CheckResultName(const CheckResult &r)
 using LemmaFingerprint = std::pair<uint64_t, uint64_t>;
 
 /**
+ * Per-assertion verification material stored next to each query-cache
+ * entry: the sorted fingerprints of the canonical assertion set. The
+ * 128-bit cache key is an additive accumulation, so two distinct
+ * assertion sets can collide on it; comparing the per-assertion
+ * fingerprints on every hit turns such a collision into a miss instead
+ * of silently returning another query's result/model.
+ */
+using QueryFingerprints = std::vector<LemmaFingerprint>;
+
+class QueryCache;
+struct QueryCacheKey;
+
+/**
  * Receives short refutation lemmas exported by a solver's incremental
  * backend. A lemma is the sorted fingerprint set of guarded assertions
  * whose conjunction the backend proved unsatisfiable (from an all-guard
@@ -198,7 +210,14 @@ struct SolverConfig
      * unread; flip off to pin memory on huge variable spaces.
      */
     bool retain_models = true;
-    /** Memoize query results keyed by the assertion set. */
+    /**
+     * Memoize query results keyed by the assertion set, in the solver's
+     * query cache (smt/query_cache.h) and, for a worker solver, the
+     * run's shared one. Kept as a toggle because it pays on the
+     * registered workloads (192 hits on fsp) and the planned minimal
+     * reference configuration (ROADMAP item 4(a)) turns it off, as do
+     * the backend micro-benches that isolate the SAT layer.
+     */
     bool enable_cache = true;
     /**
      * Reuse one persistent SatSolver + BitBlaster across queries: CNF is
@@ -324,7 +343,7 @@ class Lit;
 /**
  * The decision procedure facade.
  *
- * Holds state across queries: the memo cache, the incremental backend
+ * Holds state across queries: the query cache, the incremental backend
  * (a persistent SAT instance reused for all model-less queries; see
  * SolverConfig::enable_incremental), the lemma archive fetched from a
  * ClauseSource, and the stream-budget running balance. The Achilles
@@ -332,16 +351,25 @@ class Lit;
  * prefixes, so reusing CNF, learned clauses and established assumption
  * trails across the stream is the dominant speed lever.
  *
- * CheckSat/CheckSatAssuming are virtual so decorators can interpose
- * (the parallel exploration subsystem wraps each worker's solver with a
- * shared cross-worker query cache, see exec/query_cache.h). A Solver
- * instance is not thread-safe; parallel exploration gives each worker
- * its own.
+ * CheckSat/CheckSatAssuming/CheckSatBatch are virtual so decorators can
+ * interpose (the benchmark's timing wrapper does). A Solver instance is
+ * not thread-safe; parallel exploration gives each worker its own.
  */
 class Solver
 {
   public:
-    explicit Solver(ExprContext *ctx, SolverConfig config = {});
+    /**
+     * Every solver memoizes into a private query cache. A worker solver
+     * of the parallel engine is also handed the run's `shared_cache`:
+     * queries whose variables all have ids below `shared_var_limit`
+     * (the id-aligned prefix, see exec/expr_transfer.h) are probed in
+     * and published to the shared cache instead, so siblings reuse each
+     * other's verdicts, models and cores; queries over worker-local
+     * variables stay private. `shared_cache` must outlive the solver.
+     */
+    explicit Solver(ExprContext *ctx, SolverConfig config = {},
+                    QueryCache *shared_cache = nullptr,
+                    uint32_t shared_var_limit = 0);
     virtual ~Solver();
 
     /**
@@ -376,7 +404,7 @@ class Solver
      * |groups| independent calls. Budgeted or incremental-off
      * configurations fall back to the per-group loop, where kUnknown
      * stays conservative per group. Verdicts never carry cores (see
-     * BatchOutcome); memo-cache hits still answer individual groups
+     * BatchOutcome); query-cache hits still answer individual groups
      * before any solving, and decided verdicts are cached for later
      * point queries.
      */
@@ -418,35 +446,17 @@ class Solver
      */
     const SatCounters &sat_counters() const { return sat_totals_; }
 
-  protected:
+  private:
+    struct IncrementalBackend;
+
     /**
-     * Shared workhorse for subclasses: canonicalize, consult the memo
+     * CheckSat and CheckSatAssuming: canonicalize, probe the query
      * cache, dispatch to the interval check and the incremental or
-     * fresh-instance backend. `extras` may be null.
+     * fresh-instance backend, publish the verdict. `extras` may be null.
      */
     CheckResult CheckSatSets(const std::vector<ExprRef> &base,
                              const std::vector<ExprRef> *extras,
                              Model *model);
-
-  private:
-    struct CacheEntry
-    {
-        CheckStatus status;
-        /** False for kSat entries produced by the model-less incremental
-         *  path; such hits cannot serve model-requesting callers and are
-         *  upgraded in place by a fresh-instance solve. */
-        bool has_model;
-        Model model;
-        /** Unsat core in canonical (live-vector) indices; kUnsat entries
-         *  from the fresh-instance path carry none. */
-        bool has_core = false;
-        std::vector<uint32_t> core;
-    };
-    struct AssertionsHash
-    {
-        size_t operator()(const std::vector<ExprRef> &assertions) const;
-    };
-    struct IncrementalBackend;
 
     /** Canonical form: live (non-trivial) assertions, structurally
      *  sorted and deduplicated, plus per-live-entry indices into the
@@ -458,6 +468,15 @@ class Solver
                       std::vector<ExprRef> *live,
                       std::vector<uint32_t> *caller_index,
                       uint32_t *false_index) const;
+
+    /** Key the canonical assertion set `live` and return the cache that
+     *  serves it: the shared one when every variable is id-aligned,
+     *  else the private one; null when enable_cache is off. */
+    QueryCache *KeyQuery(const std::vector<ExprRef> &live,
+                         QueryCacheKey *key,
+                         QueryFingerprints *fingerprints);
+    /** Count one probe of `cache` (hit or miss) in the stats. */
+    void CountProbe(const QueryCache *cache, bool hit);
 
     CheckStatus SolveFresh(const std::vector<ExprRef> &live,
                            Model *out_model);
@@ -502,11 +521,10 @@ class Solver
 
     ExprContext *ctx_;
     SolverConfig config_;
-    // Keyed by the canonical assertion vector itself (hashed by the old
-    // 64-bit additive key): a hash collision degrades to a miss instead
-    // of silently returning another query's result/model.
-    std::unordered_map<std::vector<ExprRef>, CacheEntry, AssertionsHash>
-        cache_;
+    /** The private query cache (null when enable_cache is off). */
+    std::unique_ptr<QueryCache> cache_;
+    QueryCache *shared_cache_;
+    uint32_t shared_var_limit_;
     std::unique_ptr<IncrementalBackend> inc_;
     /** The incremental instance's counters at the last drain. */
     SatCounters inc_seen_;
@@ -539,7 +557,8 @@ class Solver
      *  when config_.obs carries no registry). */
     obs::MetricsRegistry::Counter obs_queries_;
     obs::MetricsRegistry::Counter obs_unknowns_;
-    obs::MetricsRegistry::Counter obs_memo_hits_;
+    obs::MetricsRegistry::Counter obs_cache_hits_;
+    obs::MetricsRegistry::Counter obs_cache_misses_;
     obs::MetricsRegistry::Counter obs_batch_sweeps_;
     obs::MetricsRegistry::Counter obs_batch_guards_;
     obs::MetricsRegistry::Distribution obs_conflicts_;

@@ -17,9 +17,9 @@
 
 #include "core/path_predicate.h"
 #include "exec/expr_transfer.h"
-#include "exec/query_cache.h"
 #include "exec/scheduler.h"
 #include "exec/worker.h"
+#include "smt/query_cache.h"
 #include "smt/solver.h"
 #include "symexec/program.h"
 
@@ -32,6 +32,9 @@ using smt::CheckStatus;
 using smt::ExprContext;
 using smt::ExprRef;
 using smt::Model;
+using smt::QueryCache;
+using smt::QueryCacheKey;
+using smt::QueryFingerprints;
 using smt::Solver;
 using symexec::EngineConfig;
 using symexec::Mode;
@@ -243,7 +246,7 @@ TEST(QueryCacheTest, ModelLessEntryUpgradesInPlace)
     EXPECT_TRUE(out.values().empty());
 }
 
-TEST(QueryCacheTest, CachedSolverSharesResultsAcrossContexts)
+TEST(QueryCacheTest, SolversShareResultsAcrossContexts)
 {
     ExprContext home;
     ExprRef x = home.FreshVar("x", 8);
@@ -258,8 +261,8 @@ TEST(QueryCacheTest, CachedSolverSharesResultsAcrossContexts)
 
     QueryCache cache;
     const uint32_t limit = home.NumVars();
-    CachedSolver home_solver(&home, &cache, limit);
-    CachedSolver remote_solver(&remote, &cache, limit);
+    Solver home_solver(&home, {}, &cache, limit);
+    Solver remote_solver(&remote, {}, &cache, limit);
 
     Model m1;
     EXPECT_EQ(home_solver.CheckSat({q}, &m1), CheckResult::kSat);
@@ -272,8 +275,12 @@ TEST(QueryCacheTest, CachedSolverSharesResultsAcrossContexts)
     EXPECT_EQ(remote_solver.CheckSat({rq}, &m2), CheckResult::kSat);
     EXPECT_EQ(cache.hits(), 1);
     EXPECT_EQ(m2.Get(x->VarId()), 6u);
-    // The hit is counted once, by the shared cache (no per-solver bump).
+    // The hit is counted once, by the shared cache: the solver's own
+    // cache-hit stat covers only its private cache. The query itself
+    // still counts as one solver query.
+    EXPECT_EQ(remote_solver.stats().Get("solver.cache_hits"), 0);
     EXPECT_EQ(remote_solver.stats().Get("exec.queries_cached"), 0);
+    EXPECT_EQ(remote_solver.stats().Get("solver.queries"), 1);
 }
 
 // --------------------------------------------------------------- bridge

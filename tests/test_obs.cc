@@ -246,8 +246,9 @@ TEST(HeartbeatTest, SampleReadsTheRegistrysAggregate)
     reg.GetCounter(1, "solver.queries").Bump(50);
     reg.GetCounter(1, "solver.unknowns").Bump(5);
     reg.RegisterGauge("engine.frontier", [] { return int64_t{7}; });
-    reg.RegisterGauge("cache.hits", [] { return int64_t{30}; });
-    reg.RegisterGauge("cache.misses", [] { return int64_t{10}; });
+    reg.GetCounter(0, "cache.hits").Bump(10);
+    reg.GetCounter(1, "cache.hits").Bump(20);
+    reg.GetCounter(1, "cache.misses").Bump(10);
 
     obs::Heartbeat hb(&reg, /*interval_seconds=*/3600.0);
     const obs::HeartbeatSample sample = hb.Sample();
@@ -335,7 +336,8 @@ using WitnessSummary =
     std::tuple<std::string, std::vector<uint8_t>, uint64_t>;
 
 std::vector<WitnessSummary>
-RunFsp(size_t workers, bool instrumented, obs::RunReport *report_out)
+RunFsp(size_t workers, bool instrumented, obs::RunReport *report_out,
+       obs::HeartbeatSample *last_sample = nullptr)
 {
     smt::ExprContext ctx;
     smt::SolverConfig solver_config;
@@ -368,10 +370,14 @@ RunFsp(size_t workers, bool instrumented, obs::RunReport *report_out)
     std::unique_ptr<obs::Heartbeat> heartbeat;
     std::atomic<int64_t> sampled{0};
     if (instrumented) {
+        // The last sample comes from Stop() on this thread, after the
+        // sampler thread has been joined.
         heartbeat = std::make_unique<obs::Heartbeat>(
             registry.get(), 0.05,
-            [&sampled](const obs::HeartbeatSample &) {
+            [&sampled, last_sample](const obs::HeartbeatSample &sample) {
                 sampled.fetch_add(1);
+                if (last_sample != nullptr)
+                    *last_sample = sample;
             });
         heartbeat->Start();
     }
@@ -421,6 +427,22 @@ TEST(ObsPipelineTest, WitnessSetsAreIdenticalWithObsOnOrOff)
         // distribution's sample count.
         EXPECT_DOUBLE_EQ(report.Get("solver.conflicts.count"),
                          report.Get("solver.queries"));
+    }
+}
+
+TEST(HeartbeatTest, CacheHitRateIsLiveSerialAndParallel)
+{
+    // Every solver counts its query-cache probes on its own lane, so the
+    // heartbeat's cache= field is live in serial runs as well as
+    // parallel ones (where the probes span private and shared caches).
+    for (size_t workers : {1, 4}) {
+        obs::RunReport report;
+        obs::HeartbeatSample last;
+        RunFsp(workers, /*instrumented=*/true, &report, &last);
+        EXPECT_GT(report.Get("cache.hits"), 0.0) << workers << " workers";
+        EXPECT_GT(report.Get("cache.misses"), 0.0)
+            << workers << " workers";
+        EXPECT_GT(last.cache_hit_rate, 0.0) << workers << " workers";
     }
 }
 

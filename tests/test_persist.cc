@@ -20,7 +20,7 @@
 #include "core/path_predicate.h"
 #include "exec/clause_exchange.h"
 #include "exec/prune_index.h"
-#include "exec/query_cache.h"
+#include "smt/query_cache.h"
 #include "persist/fingerprint.h"
 #include "persist/snapshot.h"
 #include "proto/registry.h"
@@ -77,13 +77,13 @@ SampleSnapshot()
     snap.overlay.push_back({{{3, 3}}, {{4, 4}}, 777});  // duplicate
     snap.lemmas.push_back({{8, 8}, {9, 9}});
     snap.lemmas.push_back({{7, 7}});
-    exec::QueryCache::ExportedEntry q;
+    smt::QueryCache::ExportedEntry q;
     q.fingerprints = {{11, 11}, {12, 12}};
     q.status = smt::CheckStatus::kSat;
     q.has_model = true;
     q.model_values = {{1, 0x41}, {2, 0x5a}};
     snap.queries.push_back(q);
-    exec::QueryCache::ExportedEntry u;
+    smt::QueryCache::ExportedEntry u;
     u.fingerprints = {{13, 13}, {14, 14}};
     u.status = smt::CheckStatus::kUnsat;
     u.has_core = true;
@@ -113,7 +113,7 @@ TEST(PersistTest, SaveLoadRoundTripIsIdentity)
     EXPECT_EQ(loaded.lemmas.size(), 2u);
     ASSERT_EQ(loaded.queries.size(), 2u);
     EXPECT_TRUE(loaded.queries[1].has_core);
-    EXPECT_EQ(loaded.queries[1].core, (exec::QueryFingerprints{{14, 14}}));
+    EXPECT_EQ(loaded.queries[1].core, (smt::QueryFingerprints{{14, 14}}));
 
     // Deterministic bytes: re-saving the loaded snapshot reproduces the
     // file bit for bit.
@@ -231,30 +231,30 @@ TEST(PersistTest, PruneIndexExportImportPreservesSubsumption)
 
 TEST(PersistTest, QueryCacheImportRecomputesKeysAndServesHits)
 {
-    exec::QueryCache source;
-    exec::QueryFingerprints fps{{11, 11}, {12, 12}};
+    smt::QueryCache source;
+    smt::QueryFingerprints fps{{11, 11}, {12, 12}};
     smt::Model model;
     model.Set(3, 0x41);
-    source.Insert(exec::QueryCache::KeyFromFingerprints(fps), fps,
+    source.Insert(smt::QueryCache::KeyFromFingerprints(fps), fps,
                   smt::CheckStatus::kSat, true, model);
 
-    std::vector<exec::QueryCache::ExportedEntry> exported;
+    std::vector<smt::QueryCache::ExportedEntry> exported;
     source.Export(&exported);
     ASSERT_EQ(exported.size(), 1u);
     EXPECT_TRUE(exported[0].has_model);
 
-    exec::QueryCache restored;
+    smt::QueryCache restored;
     EXPECT_EQ(restored.Import(exported), 1u);
     smt::CheckStatus status = smt::CheckStatus::kUnknown;
     smt::Model out_model;
     EXPECT_TRUE(restored.Lookup(
-        exec::QueryCache::KeyFromFingerprints(fps), fps,
+        smt::QueryCache::KeyFromFingerprints(fps), fps,
         /*want_model=*/true, &status, &out_model));
     EXPECT_EQ(status, smt::CheckStatus::kSat);
     EXPECT_EQ(out_model.values().at(3), 0x41u);
 
     // Defensive-import rules: kUnknown and unsorted vectors are skipped.
-    std::vector<exec::QueryCache::ExportedEntry> bad(2);
+    std::vector<smt::QueryCache::ExportedEntry> bad(2);
     bad[0].fingerprints = {{1, 1}};
     bad[0].status = smt::CheckStatus::kUnknown;
     bad[1].fingerprints = {{2, 2}, {1, 1}};  // unsorted
@@ -297,13 +297,13 @@ TEST(PersistTest, KeyFromFingerprintsMatchesComputeKey)
         ctx.MakeUlt(y, ctx.MakeConst(8, 9)),
         ctx.MakeEq(x, ctx.MakeConst(8, 7)),  // duplicate assertion
     };
-    exec::QueryCacheKey key;
-    exec::QueryFingerprints fps;
-    ASSERT_TRUE(exec::QueryCache::ComputeKey(assertions, 0xffffffffu,
+    smt::QueryCacheKey key;
+    smt::QueryFingerprints fps;
+    ASSERT_TRUE(smt::QueryCache::ComputeKey(assertions, 0xffffffffu,
                                              &key, &fps));
     EXPECT_TRUE(std::is_sorted(fps.begin(), fps.end()));
-    const exec::QueryCacheKey recomputed =
-        exec::QueryCache::KeyFromFingerprints(fps);
+    const smt::QueryCacheKey recomputed =
+        smt::QueryCache::KeyFromFingerprints(fps);
     EXPECT_EQ(recomputed, key);
 }
 

@@ -1,12 +1,19 @@
 // Achilles reproduction -- tests.
 //
-// Unsat cores in the shared query cache (exec/query_cache.h): a kUnsat
-// entry carries the fingerprints of its core, replays them re-anchored
-// to each caller's assertion indices, gains a core it lacked from a
-// later insert (the first core stays), never hands a core across a key
-// collision, and keeps it through export/import and a snapshot round
-// trip. Snapshots of the previous format version load as a clean cold
-// start.
+// The solver's query cache (smt/query_cache.h).
+//
+// Unsat cores: a kUnsat entry carries the fingerprints of its core,
+// replays them re-anchored to each caller's assertion indices, gains a
+// core it lacked from a later insert (the first core stays), never
+// hands a core across a key collision, and keeps it through
+// export/import and a snapshot round trip. Snapshots of the previous
+// format version load as a clean cold start.
+//
+// The solver's one cache path: a serial solver's private cache upgrades
+// model-less entries in place, replays cores in caller indices, keeps
+// interval cores, serves batch verdicts status-only, and a worker
+// solver keeps queries over worker-local variables out of the shared
+// cache.
 
 #include <gtest/gtest.h>
 
@@ -16,22 +23,24 @@
 #include <vector>
 
 #include "exec/expr_transfer.h"
-#include "exec/query_cache.h"
 #include "persist/snapshot.h"
+#include "smt/query_cache.h"
 #include "smt/solver.h"
 #include "support/stats.h"
 
 namespace achilles {
 namespace {
 
-using exec::QueryCache;
-using exec::QueryCacheKey;
-using exec::QueryFingerprints;
 using smt::CheckResult;
 using smt::CheckStatus;
 using smt::ExprContext;
 using smt::ExprRef;
 using smt::Model;
+using smt::QueryCache;
+using smt::QueryCacheKey;
+using smt::QueryFingerprints;
+using smt::Solver;
+using smt::SolverConfig;
 
 std::string
 TempPath(const std::string &name)
@@ -83,8 +92,8 @@ TEST(QueryCacheCoreTest, CoresTranslateAcrossContexts)
 
     QueryCache cache;
     const uint32_t limit = home.NumVars();
-    exec::CachedSolver home_solver(&home, &cache, limit);
-    exec::CachedSolver remote_solver(&remote, &cache, limit);
+    Solver home_solver(&home, {}, &cache, limit);
+    Solver remote_solver(&remote, {}, &cache, limit);
 
     const CheckResult first =
         home_solver.CheckSat({irrelevant, lt, ge});
@@ -93,7 +102,7 @@ TEST(QueryCacheCoreTest, CoresTranslateAcrossContexts)
     EXPECT_EQ(first.core, (std::vector<uint32_t>{1, 2}));
     EXPECT_EQ(cache.cores_recorded(), 1);
 
-    // The remote worker's probe hits the shared entry and re-anchors
+    // The remote solver's probe hits the shared entry and re-anchors
     // the fingerprint core to its own (reordered) assertion indices.
     const CheckResult hit = remote_solver.CheckSat(
         {bridge.ToRemote(ge), bridge.ToRemote(irrelevant),
@@ -259,6 +268,172 @@ TEST(QueryCacheCoreTest, SnapshotRoundTripKeepsCoresByteIdentical)
     EXPECT_EQ(out, unsat.core);
     std::remove(p1.c_str());
     std::remove(p2.c_str());
+}
+
+// ------------------------------------------- one cache, serial solver
+
+TEST(SolverCacheTest, ModelLessEntryIsUpgradedInPlace)
+{
+    ExprContext ctx;
+    ExprRef x = ctx.FreshVar("x", 8);
+    ExprRef q = ctx.MakeEq(ctx.MakeAdd(x, ctx.MakeConst(8, 1)),
+                           ctx.MakeConst(8, 7));
+    Solver solver(&ctx);
+
+    // Model-less: decided on the incremental path, cached without one.
+    ASSERT_EQ(solver.CheckSat({q}), CheckResult::kSat);
+    // A witness-requesting caller cannot be served by that entry; the
+    // fresh solve fills the model in place (one entry, one upgrade).
+    Model m1;
+    ASSERT_EQ(solver.CheckSat({q}, &m1), CheckResult::kSat);
+    EXPECT_EQ(m1.Get(x->VarId()), 6u);
+    EXPECT_EQ(solver.stats().Get("solver.cache_model_upgrades"), 1);
+    EXPECT_EQ(solver.stats().Get("solver.cache_hits"), 0);
+
+    // Now the entry serves model callers, bit-identically.
+    Model m2;
+    ASSERT_EQ(solver.CheckSat({q}, &m2), CheckResult::kSat);
+    EXPECT_EQ(m2.Get(x->VarId()), 6u);
+    EXPECT_EQ(solver.stats().Get("solver.cache_hits"), 1);
+    EXPECT_EQ(solver.stats().Get("solver.cache_model_upgrades"), 1);
+    EXPECT_EQ(solver.stats().Get("solver.queries"), 3);
+}
+
+TEST(SolverCacheTest, CoreIsReplayedInCallerIndices)
+{
+    ExprContext ctx;
+    ExprRef x = ctx.FreshVar("x", 8);
+    ExprRef y = ctx.FreshVar("y", 8);
+    ExprRef irrelevant = ctx.MakeEq(y, ctx.MakeConst(8, 5));
+    // Refutable only by search: the interval check cannot see it.
+    ExprRef a = ctx.MakeEq(ctx.MakeXor(x, y), ctx.MakeConst(8, 1));
+    ExprRef b = ctx.MakeEq(x, y);
+    SolverConfig config;
+    config.use_interval_check = false;
+    Solver solver(&ctx, config);
+
+    const CheckResult first = solver.CheckSat({irrelevant, a, b});
+    ASSERT_EQ(first, CheckResult::kUnsat);
+    ASSERT_TRUE(first.has_core);
+    EXPECT_EQ(first.core, (std::vector<uint32_t>{1, 2}));
+
+    // Same set, reordered, with duplicates and a trivially-true
+    // conjunct: a cache hit whose core names each implicated
+    // assertion's first occurrence in this caller's vectors.
+    const CheckResult hit = solver.CheckSatAssuming(
+        {b, ctx.True(), irrelevant, b}, {a, irrelevant, a});
+    ASSERT_EQ(hit, CheckResult::kUnsat);
+    ASSERT_TRUE(hit.has_core);
+    EXPECT_EQ(hit.core, (std::vector<uint32_t>{0, 4}));
+    EXPECT_EQ(solver.stats().Get("solver.cache_hits"), 1);
+    EXPECT_EQ(solver.stats().Get("solver.incremental_sat_calls"), 1);
+
+    // A model-requesting caller gets the cached verdict without a core.
+    Model m;
+    const CheckResult with_model = solver.CheckSat({a, b}, &m);
+    EXPECT_EQ(with_model, CheckResult::kUnsat);
+    EXPECT_FALSE(with_model.has_core);
+}
+
+TEST(SolverCacheTest, IntervalRefutedEntryKeepsItsIntervalCore)
+{
+    ExprContext ctx;
+    ExprRef x = ctx.FreshVar("x", 8);
+    ExprRef y = ctx.FreshVar("y", 8);
+    ExprRef irrelevant = ctx.MakeEq(y, ctx.MakeConst(8, 5));
+    ExprRef lt = ctx.MakeUlt(x, ctx.MakeConst(8, 10));
+    ExprRef ge = ctx.MakeUge(x, ctx.MakeConst(8, 20));
+    Solver solver(&ctx);
+
+    const CheckResult first = solver.CheckSat({lt, irrelevant, ge});
+    ASSERT_EQ(first, CheckResult::kUnsat);
+    ASSERT_TRUE(first.has_core);
+    EXPECT_EQ(first.core, (std::vector<uint32_t>{0, 2}));
+    EXPECT_EQ(solver.stats().Get("solver.interval_cores"), 1);
+
+    const CheckResult hit = solver.CheckSat({ge, irrelevant, lt});
+    ASSERT_EQ(hit, CheckResult::kUnsat);
+    ASSERT_TRUE(hit.has_core);
+    EXPECT_EQ(hit.core, (std::vector<uint32_t>{0, 2}));
+    // Served by the cache: no second interval run, no SAT call.
+    EXPECT_EQ(solver.stats().Get("solver.cache_hits"), 1);
+    EXPECT_EQ(solver.stats().Get("solver.interval_unsat"), 1);
+    EXPECT_EQ(solver.stats().Get("solver.sat_calls") +
+                  solver.stats().Get("solver.incremental_sat_calls"),
+              0);
+}
+
+TEST(SolverCacheTest, BatchEntriesAreStatusOnlyAndUpgradeOnDemand)
+{
+    ExprContext ctx;
+    ExprRef x = ctx.FreshVar("x", 8);
+    ExprRef base = ctx.MakeUlt(x, ctx.MakeConst(8, 100));
+    std::vector<ExprRef> sat_group = {ctx.MakeEq(x, ctx.MakeConst(8, 42))};
+    // Unsat against the base, by search only.
+    std::vector<ExprRef> unsat_group = {
+        ctx.MakeEq(ctx.MakeAdd(x, ctx.MakeConst(8, 100)),
+                   ctx.MakeConst(8, 50))};
+    SolverConfig config;
+    config.use_interval_check = false;
+    Solver solver(&ctx, config);
+
+    const smt::BatchOutcome swept =
+        solver.CheckSatBatch({base}, {&sat_group, &unsat_group});
+    ASSERT_EQ(swept.verdicts.size(), 2u);
+    EXPECT_EQ(swept.verdicts[0], CheckResult::kSat);
+    EXPECT_EQ(swept.verdicts[1], CheckResult::kUnsat);
+
+    // Point queries on the same sets hit the batch entries: the kUnsat
+    // one without a core (batch verdicts carry none).
+    const CheckResult unsat = solver.CheckSatAssuming({base}, unsat_group);
+    EXPECT_EQ(unsat, CheckResult::kUnsat);
+    EXPECT_FALSE(unsat.has_core);
+    EXPECT_EQ(solver.stats().Get("solver.cache_hits"), 1);
+
+    // The kSat entry has no model; a witness request upgrades it.
+    Model m;
+    ASSERT_EQ(solver.CheckSatAssuming({base}, sat_group, &m),
+              CheckResult::kSat);
+    EXPECT_EQ(m.Get(x->VarId()), 42u);
+    EXPECT_EQ(solver.stats().Get("solver.cache_model_upgrades"), 1);
+    EXPECT_EQ(solver.stats().Get("solver.cache_hits"), 1);
+
+    // A second sweep is answered entirely from the cache.
+    const smt::BatchOutcome again =
+        solver.CheckSatBatch({base}, {&sat_group, &unsat_group});
+    EXPECT_EQ(again.rounds, 0);
+    EXPECT_EQ(again.verdicts[0], CheckResult::kSat);
+    EXPECT_EQ(again.verdicts[1], CheckResult::kUnsat);
+    EXPECT_EQ(solver.stats().Get("solver.cache_hits"), 3);
+}
+
+TEST(SolverCacheTest, WorkerLocalQueriesStayInThePrivateCache)
+{
+    ExprContext ctx;
+    ExprRef x = ctx.FreshVar("x", 8);
+    const uint32_t limit = ctx.NumVars();
+    // Created after the id-aligned prefix was fixed: worker-local.
+    ExprRef local = ctx.FreshVar("local", 8);
+    ExprRef shared_q = ctx.MakeUlt(x, ctx.MakeConst(8, 9));
+    ExprRef local_q = ctx.MakeEq(local, x);
+
+    QueryCache shared;
+    Solver solver(&ctx, {}, &shared, limit);
+
+    EXPECT_EQ(solver.CheckSat({local_q}), CheckResult::kSat);
+    EXPECT_EQ(solver.CheckSat({local_q}), CheckResult::kSat);
+    // Served by the private cache; the shared one never saw it.
+    EXPECT_EQ(solver.stats().Get("solver.cache_hits"), 1);
+    EXPECT_EQ(shared.size(), 0u);
+    EXPECT_EQ(shared.hits() + shared.misses(), 0);
+
+    // A query over the aligned prefix goes to the shared cache only.
+    EXPECT_EQ(solver.CheckSat({shared_q}), CheckResult::kSat);
+    EXPECT_EQ(solver.CheckSat({shared_q}), CheckResult::kSat);
+    EXPECT_EQ(shared.size(), 1u);
+    EXPECT_EQ(shared.hits(), 1);
+    EXPECT_EQ(solver.stats().Get("solver.cache_hits"), 1);
+    EXPECT_EQ(solver.stats().Get("solver.queries"), 4);
 }
 
 void
