@@ -12,9 +12,8 @@
 // counts, both emitting JSON for the CI trend gate):
 //   --cores        unsat-core-guided predicate dropping on/off
 //   --prune-index  the shared differentFrom overlay on/off
-//   --batch        concrete pre-filtering against the solver's standing
-//                  model + the batched all-sat sweep over the match
-//                  stream, both toggles on/off together
+//   --prefilter    concrete pre-filtering against the solver's standing
+//                  model on/off
 
 #include <algorithm>
 #include <cstdio>
@@ -249,29 +248,23 @@ RunPruneIndexComparison(size_t num_clients)
 }
 
 /**
- * One pipeline run for the --batch ablation: the concrete pre-filter
- * and the batched all-sat sweep toggled together at the explorer.
- * Cores are off in BOTH arms: the serial arm then issues exactly one
- * match query per undecided live guard, which the batch arm's round
- * count is provably <= (every SAT round decides at least one pending
- * group, and the terminal round decides the rest). With cores on the
- * serial arm skips queries the sweep still passes over, and the <=
- * gate would compare unlike quantities.
+ * One pipeline run for the --prefilter ablation. Cores are off in both
+ * arms, so the off arm issues exactly one match query per undecided
+ * live guard and the hit rate is measured against the plain stream.
  */
-struct BatchPoint
+struct PrefilterPoint
 {
     int64_t solver_queries = 0;   ///< match + Trojan queries issued
-    int64_t match_queries = 0;    ///< solver passes on the match stream
-    int64_t prefilter_hits = 0;   ///< guards answered from the model
-    int64_t batch_rounds = 0;     ///< all-sat rounds across all sweeps
+    int64_t match_queries = 0;    ///< solver calls on the match stream
+    int64_t prefilter_hits = 0;   ///< queries answered from the model
     std::vector<WitnessSummary> witnesses;
 };
 
-BatchPoint
-RunBatchPoint(const std::vector<const symexec::Program *> &clients,
-              const symexec::Program *server,
-              const core::MessageLayout &layout, size_t workers,
-              bool batch)
+PrefilterPoint
+RunPrefilterPoint(const std::vector<const symexec::Program *> &clients,
+                  const symexec::Program *server,
+                  const core::MessageLayout &layout, size_t workers,
+                  bool prefilter)
 {
     smt::ExprContext ctx;
     smt::SolverConfig solver_config;
@@ -284,12 +277,11 @@ RunBatchPoint(const std::vector<const symexec::Program *> &clients,
     config.server = server;
     config.server_config.engine.num_workers = workers;
     config.server_config.use_unsat_cores = false;
-    config.server_config.use_concrete_prefilter = batch;
-    config.server_config.use_batch_sweep = batch;
+    config.server_config.use_concrete_prefilter = prefilter;
     const core::AchillesResult result =
         core::RunAchilles(&ctx, &solver, config);
 
-    BatchPoint point;
+    PrefilterPoint point;
     point.match_queries =
         result.server.stats.Get("explorer.match_queries");
     point.solver_queries =
@@ -298,8 +290,6 @@ RunBatchPoint(const std::vector<const symexec::Program *> &clients,
     point.prefilter_hits =
         result.server.stats.Get("explorer.prefilter_hits") +
         result.server.stats.Get("explorer.prefilter_trojan_hits");
-    point.batch_rounds =
-        result.server.stats.Get("explorer.batch_rounds");
     core::CanonicalHasher hasher(&ctx);
     for (const core::TrojanWitness &t : result.server.trojans) {
         point.witnesses.emplace_back(t.accept_label, t.concrete,
@@ -310,23 +300,19 @@ RunBatchPoint(const std::vector<const symexec::Program *> &clients,
 }
 
 /**
- * The --batch comparison: at every worker count the pre-filter plus
- * batched sweep must issue no more solver queries than the serial
- * per-guard stream -- strictly fewer at workers=1 on both protocols --
- * with bitwise-identical witness sets in every cell (the pre-filter
- * only short-circuits kSat answers a fresh solver would also give, and
- * the unbudgeted sweep's per-guard verdicts are exact).
+ * The --prefilter comparison: at every worker count the pre-filter
+ * must issue no more solver queries than the unfiltered stream, with
+ * bitwise-identical witness sets in every cell (the pre-filter only
+ * short-circuits kSat answers a fresh solver would also give).
  */
 bool
-RunBatchComparison(size_t num_clients)
+RunPrefilterComparison(size_t num_clients)
 {
-    bench::Header("Batched Trojan checking -- solver queries with the "
-                  "concrete pre-filter + all-sat sweep vs the serial "
-                  "per-guard stream");
+    bench::Header("Concrete pre-filter -- solver queries with and "
+                  "without the standing-model check");
     const std::vector<size_t> worker_counts{1, 2, 4, 8};
     bool witnesses_identical = true;
-    bool never_more = true;    // <= everywhere
-    bool serial_fewer = true;  // strict < at workers=1, both sections
+    bool never_more = true;
 
     const std::vector<symexec::Program> fsp_clients =
         fsp::MakeAllClients();
@@ -352,47 +338,36 @@ RunBatchComparison(size_t num_clients)
         const core::MessageLayout *layout;
     };
     const Section sections[] = {
-        {"FSP (standing models answer repeat-satisfiable guards; the "
-         "sweep compresses the residue)",
-         "fsp", &fsp_client_ptrs, &fsp_server, &fsp_layout},
-        {"guarded protocol (deep guard nests: one search tree decides "
-         "whole sibling groups per round)",
-         "guarded", &guarded_clients, &guarded_server, &guarded_layout},
+        {"FSP (standing models answer repeat-satisfiable guards)", "fsp",
+         &fsp_client_ptrs, &fsp_server, &fsp_layout},
+        {"guarded protocol (deep guard nests)", "guarded",
+         &guarded_clients, &guarded_server, &guarded_layout},
     };
 
     for (const Section &section : sections) {
         bench::Section(section.title);
-        std::printf("  %8s %12s %12s %11s %9s %8s\n", "workers",
-                    "q(serial)", "q(batch)", "reduction", "prefilt",
-                    "rounds");
+        std::printf("  %8s %12s %12s %9s %9s\n", "workers", "q(off)",
+                    "q(on)", "prefilt", "hit rate");
         std::vector<WitnessSummary> reference;
         bool have_reference = false;
         for (size_t w : worker_counts) {
-            const BatchPoint off = RunBatchPoint(
+            const PrefilterPoint off = RunPrefilterPoint(
                 *section.clients, section.server, *section.layout, w,
-                /*batch=*/false);
-            const BatchPoint on = RunBatchPoint(
+                /*prefilter=*/false);
+            const PrefilterPoint on = RunPrefilterPoint(
                 *section.clients, section.server, *section.layout, w,
-                /*batch=*/true);
-            const double reduction =
-                off.solver_queries > 0
-                    ? 100.0 *
-                          static_cast<double>(off.solver_queries -
-                                              on.solver_queries) /
-                          static_cast<double>(off.solver_queries)
-                    : 0.0;
+                /*prefilter=*/true);
             const double prefilter_hit_rate =
                 on.prefilter_hits + on.match_queries > 0
                     ? 100.0 * static_cast<double>(on.prefilter_hits) /
                           static_cast<double>(on.prefilter_hits +
                                               on.match_queries)
                     : 0.0;
-            std::printf("  %8zu %12lld %12lld %10.1f%% %9lld %8lld\n", w,
+            std::printf("  %8zu %12lld %12lld %9lld %8.1f%%\n", w,
                         static_cast<long long>(off.solver_queries),
                         static_cast<long long>(on.solver_queries),
-                        reduction,
                         static_cast<long long>(on.prefilter_hits),
-                        static_cast<long long>(on.batch_rounds));
+                        prefilter_hit_rate);
             witnesses_identical &= on.witnesses == off.witnesses;
             // Worker-count invariance, both arms: one canonical witness
             // set per protocol across the whole grid.
@@ -402,31 +377,22 @@ RunBatchComparison(size_t num_clients)
             }
             witnesses_identical &= off.witnesses == reference;
             never_more &= on.solver_queries <= off.solver_queries;
-            if (w == 1)
-                serial_fewer &= on.solver_queries < off.solver_queries;
 
-            const std::string suffix = std::string("/") + section.tag +
-                                       "/workers=" + std::to_string(w);
             bench::JsonRecorder::Instance().Record(
-                "fig11.batch_query_reduction_pct" + suffix, reduction);
-            bench::JsonRecorder::Instance().Record(
-                "fig11.prefilter_hit_rate" + suffix, prefilter_hit_rate);
-            bench::JsonRecorder::Instance().Record(
-                "fig11.batch_rounds" + suffix,
-                static_cast<double>(on.batch_rounds));
+                std::string("fig11.prefilter_hit_rate/") + section.tag +
+                    "/workers=" + std::to_string(w),
+                prefilter_hit_rate);
         }
     }
-    bench::Metric("fig11.batch_witness_sets_identical",
+    bench::Metric("fig11.prefilter_witness_sets_identical",
                   witnesses_identical ? 1 : 0);
-    bench::Note("the pre-filter answers a guard only when the standing "
-                "model concretely satisfies path and guard (a proof of "
-                "kSat); the sweep's rounds replace per-guard queries, "
-                "and each SAT round decides every pending guard the "
-                "round's model happens to satisfy");
+    bench::Note("the pre-filter answers a query only when the standing "
+                "model concretely satisfies all of its assertions (a "
+                "proof of kSat)");
 
-    const bool ok = witnesses_identical && never_more && serial_fewer;
-    std::printf("\nBATCH: %s\n",
-                ok ? "PASS (fewer queries, identical witness sets)"
+    const bool ok = witnesses_identical && never_more;
+    std::printf("\nPREFILTER: %s\n",
+                ok ? "PASS (no extra queries, identical witness sets)"
                    : "MISMATCH");
     return ok;
 }
@@ -630,7 +596,7 @@ main(int argc, char **argv)
     bench::ParseBenchArgs(argc, argv);
     bool compare = false;
     bool compare_prune = false;
-    bool compare_batch = false;
+    bool compare_prefilter = false;
     bool use_cores = true;
     size_t num_clients = 8;
     for (int i = 1; i < argc; ++i) {
@@ -640,8 +606,8 @@ main(int argc, char **argv)
             use_cores = false;
         else if (std::strcmp(argv[i], "--prune-index") == 0)
             compare_prune = true;
-        else if (std::strcmp(argv[i], "--batch") == 0)
-            compare_batch = true;
+        else if (std::strcmp(argv[i], "--prefilter") == 0)
+            compare_prefilter = true;
         else if (std::strcmp(argv[i], "--json") == 0)
             compare = true;
         else if (std::strcmp(argv[i], "--clients") == 0 && i + 1 < argc)
@@ -759,11 +725,11 @@ main(int argc, char **argv)
     bool prune_ok = true;
     if (compare_prune)
         prune_ok = RunPruneIndexComparison(num_clients);
-    // The --batch ablation: concrete pre-filter + batched all-sat
-    // sweep on/off, gated on witness identity and a query reduction.
-    bool batch_ok = true;
-    if (compare_batch)
-        batch_ok = RunBatchComparison(num_clients);
+    // The --prefilter ablation: the concrete pre-filter on/off, gated
+    // on witness identity and no extra queries.
+    bool prefilter_ok = true;
+    if (compare_prefilter)
+        prefilter_ok = RunPrefilterComparison(num_clients);
     bench::JsonRecorder::Instance().Flush();
-    return ok && cores_ok && prune_ok && batch_ok ? 0 : 1;
+    return ok && cores_ok && prune_ok && prefilter_ok ? 0 : 1;
 }

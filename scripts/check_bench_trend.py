@@ -67,7 +67,6 @@ WATCHED_PATTERNS = [
     # Trojan-core store that is gone, so it has no stable baseline.
     "fig11.prune_index_query_reduction_pct/fsp/*",
     "fig11.overlay_hit_rate/*",
-    "fig11.batch_query_reduction_pct/*",
     "fig11.prefilter_hit_rate/*",
     "corpus.trojan_yield",
     "corpus.trojan_yield/*",

@@ -192,16 +192,7 @@ class CorpusMetricsTest(unittest.TestCase):
         self.assertIn("one-sided", out)
 
 
-class BatchMetricsTest(unittest.TestCase):
-    def test_batch_reduction_drop_fails(self):
-        code, out = run_gate(
-            current=[{"metric": "fig11.batch_query_reduction_pct"
-                                "/fsp/workers=1", "value": 5.0}],
-            baseline=[{"metric": "fig11.batch_query_reduction_pct"
-                                 "/fsp/workers=1", "value": 40.0}])
-        self.assertEqual(code, 1, out)
-        self.assertIn("fig11.batch_query_reduction_pct", out)
-
+class PrefilterMetricsTest(unittest.TestCase):
     def test_prefilter_hit_rate_drop_fails(self):
         code, out = run_gate(
             current=[{"metric": "fig11.prefilter_hit_rate"
@@ -211,13 +202,11 @@ class BatchMetricsTest(unittest.TestCase):
         self.assertEqual(code, 1, out)
         self.assertIn("fig11.prefilter_hit_rate", out)
 
-    def test_batch_metrics_absent_from_baseline_are_warn_only(self):
-        # A baseline artifact that predates the --batch ablation must
-        # not fail the gate: the comparison is one-sided.
+    def test_prefilter_metrics_absent_from_baseline_are_warn_only(self):
+        # A baseline artifact that predates the --prefilter ablation
+        # must not fail the gate: the comparison is one-sided.
         code, out = run_gate(
             current=[
-                {"metric": "fig11.batch_query_reduction_pct"
-                           "/fsp/workers=1", "value": 30.0},
                 {"metric": "fig11.prefilter_hit_rate/fsp/workers=1",
                  "value": 0.4}],
             baseline=[{"metric": "smt.incremental_speedup",

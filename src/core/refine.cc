@@ -38,9 +38,7 @@ ConfirmWitnesses(smt::ExprContext *ctx, smt::Solver *solver,
             // Path constraints as the base, pinned-byte equalities as
             // the extras: every witness re-asserts the same base, which
             // the incremental backend turns into assumption flips over
-            // already-blasted CNF with the common trail prefix kept,
-            // and stream-budgeted solvers spread their conflict budget
-            // over the whole per-path stream.
+            // already-blasted CNF with the common trail prefix kept.
             std::vector<smt::ExprRef> pins;
             pins.reserve(analyzed.size());
             for (uint32_t off : analyzed) {

@@ -81,17 +81,6 @@ class ServerExplorer::WorkerListener : public symexec::Listener
         prune_ = owner->config_.use_prune_index ? wc->prune_index
                                                 : nullptr;
         match_fps_ = BuildMatchFps(prune_, match_);
-        if (owner->config_.trojan_stream_budget.enabled()) {
-            smt::SolverConfig budgeted = wc->solver->config();
-            budgeted.stream_budget = owner->config_.trojan_stream_budget;
-            // The budgeted stream neither exports nor needs lemmas;
-            // keep the worker's clause channel exclusive to the main
-            // solver.
-            budgeted.clause_sink = nullptr;
-            budgeted.clause_source = nullptr;
-            trojan_solver_ =
-                std::make_unique<smt::Solver>(&wc->ctx, budgeted);
-        }
     }
 
     Plane
@@ -100,7 +89,6 @@ class ServerExplorer::WorkerListener : public symexec::Listener
         Plane p;
         p.ctx = &wc_->ctx;
         p.solver = wc_->solver.get();
-        p.trojan_solver = trojan_solver_.get();
         p.match = &match_;
         p.negations = &negations_;
         p.message = &message_;
@@ -143,7 +131,6 @@ class ServerExplorer::WorkerListener : public symexec::Listener
     std::vector<smt::ExprRef> message_;
     std::vector<exec::PruneFpVec> match_fps_;
     exec::PruneIndex *prune_ = nullptr;
-    std::unique_ptr<smt::Solver> trojan_solver_;
     StatsRegistry stats_;
     std::vector<LiveSetSample> samples_;
     std::vector<TrojanWitness> trojans_;
@@ -238,29 +225,6 @@ ServerExplorer::ServerExplorer(
         home_prune_ = std::make_unique<exec::PruneIndex>(prune_config);
         home_match_fps_ = BuildMatchFps(home_prune_.get(), match_);
     }
-    if (config_.trojan_stream_budget.enabled()) {
-        smt::SolverConfig budgeted = solver_->config();
-        budgeted.stream_budget = config_.trojan_stream_budget;
-        budgeted.clause_sink = nullptr;
-        budgeted.clause_source = nullptr;
-        home_trojan_solver_ =
-            std::make_unique<smt::Solver>(ctx_, budgeted);
-    }
-}
-
-ServerExplorerConfig
-BudgetedExplorationPreset(ServerExplorerConfig base)
-{
-    // Generous opening budget decaying toward a floor, with half of
-    // every decided query's unspent conflicts rolling forward: early
-    // (hard, discriminating) pruning queries get room, the long tail
-    // of repetitive ones is clamped, and the stream as a whole is
-    // bounded. Match and witness queries stay unbudgeted.
-    base.trojan_stream_budget.base = 4096;
-    base.trojan_stream_budget.decay = 0.98;
-    base.trojan_stream_budget.floor = 256;
-    base.trojan_stream_budget.carry = 0.5;
-    return base;
 }
 
 ServerExplorer::Plane
@@ -269,7 +233,6 @@ ServerExplorer::HomePlane()
     Plane p;
     p.ctx = ctx_;
     p.solver = solver_;
-    p.trojan_solver = home_trojan_solver_.get();
     p.match = &match_;
     p.negations = &negation_exprs_;
     p.message = &message_;
@@ -329,11 +292,11 @@ ServerExplorer::PredicateMatches(Plane &plane, const symexec::State &state,
 bool
 ServerExplorer::CoresUsable(const Plane &plane) const
 {
-    // Budgeted solvers -- flat max_conflicts or stream-level budgets --
-    // can answer kUnknown; nothing may be dropped off a core then (the
-    // no-drop-on-kUnknown contract), so core consumption is reserved
-    // for unbudgeted configurations where every core-guided decision
-    // coincides with a kUnsat the solver would have produced.
+    // Budgeted solvers (max_conflicts >= 0) can answer kUnknown;
+    // nothing may be dropped off a core then (the no-drop-on-kUnknown
+    // contract), so core consumption is reserved for unbudgeted
+    // configurations where every core-guided decision coincides with a
+    // kUnsat the solver would have produced.
     const smt::SolverConfig &solver_config = plane.solver->config();
     return config_.use_unsat_cores && solver_config.enable_cores &&
            solver_config.unbudgeted();
@@ -455,7 +418,7 @@ ServerExplorer::TrojanQuery(
     // path for their deterministic model bytes. Decision-identical:
     // the filter only ever answers an exact kSat the solver would have
     // answered too (or conservatively kept via kUnknown on a budgeted
-    // stream), and it can never fire for an unsatisfiable query.
+    // solver), and it can never fire for an unsatisfiable query.
     if (model == nullptr && config_.use_concrete_prefilter) {
         const smt::Model *standing = plane.solver->StandingModel();
         if (standing != nullptr &&
@@ -465,15 +428,9 @@ ServerExplorer::TrojanQuery(
             return smt::CheckResult(smt::CheckStatus::kSat);
         }
     }
-    // Pruning (model-less) queries may run on the dedicated
-    // stream-budgeted Trojan solver; witness-producing queries always
-    // use the main solver's deterministic fresh-instance path for
-    // their model bytes.
-    smt::Solver *solver = plane.solver;
-    if (model == nullptr && plane.trojan_solver != nullptr)
-        solver = plane.trojan_solver;
     plane.stats->Bump("explorer.trojan_queries");
-    return solver->CheckSatAssuming(path_constraints, negations, model);
+    return plane.solver->CheckSatAssuming(path_constraints, negations,
+                                          model);
 }
 
 std::vector<std::string>
@@ -533,9 +490,7 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
         const bool path_holds =
             standing != nullptr &&
             AllTrueUnder(state.constraints(), *standing);
-        const bool batch = config_.use_batch_sweep;
         int64_t prefilter_hits = 0;
-        std::vector<uint32_t> queued;
         std::vector<uint32_t> survivors;
         survivors.reserve(data->live.size());
         // Per-predicate verdicts: 1 = drop via the differentFrom value
@@ -592,11 +547,6 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
                 decided[i] = 2;
                 continue;
             }
-            if (batch) {
-                // Deferred to the one-pass sweep below.
-                queued.push_back(i);
-                continue;
-            }
             const smt::CheckResult r = PredicateMatches(plane, state, i);
             if (r != smt::CheckResult::kUnsat) {
                 survivors.push_back(i);
@@ -626,60 +576,6 @@ ServerExplorer::HandleBranch(Plane &plane, symexec::State &state,
             if (plane.obs.metrics_on()) {
                 plane.obs.CounterFor("explorer.prefilter_hits")
                     .Bump(prefilter_hits);
-            }
-        }
-        if (batch && !queued.empty()) {
-            // Batched all-sat sweep: one CheckSatBatch pass answers
-            // every still-undecided live predicate. Verdict-exact vs
-            // the per-predicate loop -- the shortcuts the serial path
-            // would have taken (differentFrom value-class marks, core
-            // drops) only ever skip queries whose answer is kUnsat, and
-            // the sweep answers those kUnsat explicitly, so the
-            // survivor set (and with it every witness byte) is
-            // identical. explorer.match_queries counts solver passes:
-            // a sweep contributes its rounds, which is exactly the
-            // stream compression the --batch ablation measures.
-            obs::ScopedSpan span(plane.obs.tracer, plane.obs.lane,
-                                 "explorer.batch_sweep", "explorer");
-            std::vector<const std::vector<smt::ExprRef> *> groups;
-            groups.reserve(queued.size());
-            for (uint32_t i : queued)
-                groups.push_back(&(*plane.match)[i]);
-            const smt::BatchOutcome outcome =
-                plane.solver->CheckSatBatch(state.constraints(), groups);
-            plane.stats->Bump("explorer.batch_sweeps");
-            plane.stats->Bump("explorer.batch_guards",
-                              static_cast<int64_t>(queued.size()));
-            plane.stats->Bump("explorer.batch_rounds", outcome.rounds);
-            plane.stats->Bump("explorer.match_queries", outcome.rounds);
-            if (plane.obs.metrics_on()) {
-                plane.obs.CounterFor("explorer.batch_sweeps").Bump();
-                plane.obs.CounterFor("explorer.batch_guards")
-                    .Bump(static_cast<int64_t>(queued.size()));
-                plane.obs.CounterFor("explorer.batch_rounds")
-                    .Bump(outcome.rounds);
-            }
-            if (plane.obs.enabled()) {
-                span.AddArg("guards", static_cast<int64_t>(queued.size()));
-                span.AddArg("rounds", outcome.rounds);
-            }
-            for (size_t k = 0; k < queued.size(); ++k) {
-                const uint32_t i = queued[k];
-                if (outcome.verdicts[k] == smt::CheckResult::kUnsat) {
-                    decided[i] = 1;
-                    plane.stats->Bump("explorer.predicate_drops");
-                } else {
-                    // kSat -- or kUnknown off a budgeted fallback:
-                    // conservatively keep (never drop on kUnknown).
-                    decided[i] = 2;
-                }
-            }
-            // Rebuild the survivor set in original live order: sweep
-            // verdicts interleave with prefilter and overlay decisions.
-            survivors.clear();
-            for (uint32_t i : data->live) {
-                if (decided[i] == 2)
-                    survivors.push_back(i);
             }
         }
         data->live = std::move(survivors);

@@ -74,9 +74,8 @@ struct ServerExplorerConfig
      * with the core's field instead of the branch constraint's), so
      * live sets -- and therefore witness sets -- are bitwise identical
      * with the toggle on or off. Never consulted when the solver runs
-     * budgeted queries (flat max_conflicts >= 0 or stream-level
-     * budgets): a budget can answer kUnknown, and nothing may be
-     * dropped on kUnknown.
+     * budgeted queries (max_conflicts >= 0): a budget can answer
+     * kUnknown, and nothing may be dropped on kUnknown.
      */
     bool use_unsat_cores = true;
     /**
@@ -93,15 +92,6 @@ struct ServerExplorerConfig
     /** Entry cap for the explorer-owned overlay (serial runs) and the
      *  ParallelEngine-owned one (multi-worker runs). */
     size_t prune_overlay_cap = 1024;
-    /**
-     * Stream-level conflict budget for the Trojan-pruning query stream
-     * (disabled by default). When enabled, pruning queries run on a
-     * dedicated budgeted solver: a kUnknown answer keeps the state (no
-     * witness is ever dropped) and, per the unbudgeted() gate, no core
-     * is recorded or consumed on that stream. Match queries and
-     * witness-producing queries stay on the main unbudgeted solver.
-     */
-    smt::StreamBudget trojan_stream_budget;
     /**
      * Concrete pre-filter over the solver's standing model: before any
      * solver call, evaluate the query's assertions under the last
@@ -121,25 +111,6 @@ struct ServerExplorerConfig
      */
     bool use_concrete_prefilter = true;
     /**
-     * Batched all-sat sweep over the per-branch predicate-match stream:
-     * instead of one CheckSatAssuming per undecided live predicate,
-     * HandleBranch collects the residue (after differentFrom, overlay,
-     * core and prefilter decisions) and answers it with a single
-     * Solver::CheckSatBatch pass -- per-guard verdicts enumerated from
-     * one incremental search tree. Verdict-exact: every group gets the
-     * same kSat/kUnsat answer the per-predicate loop would compute, so
-     * survivor sets and witness bytes are bitwise identical. Batch
-     * kUnsat verdicts carry no cores, so core-guided transitive drops
-     * do not fire inside a sweep (the verdicts themselves already cover
-     * every swept predicate; only the core-ablation *query counts*
-     * differ, which is why the toggle defaults off and the --batch
-     * ablation grid measures it explicitly). On budgeted solvers the
-     * facade falls back to per-group queries with per-group kUnknown
-     * conservatism: an exhausted budget mid-sweep keeps every
-     * unanswered predicate alive.
-     */
-    bool use_batch_sweep = false;
-    /**
      * Warm-start knowledge to import before exploring (null = cold
      * start). Serial runs restore into the home PruneIndex; parallel
      * runs restore into the ParallelEngine's shared stores before any
@@ -152,17 +123,6 @@ struct ServerExplorerConfig
      *  here after exploration finishes. */
     persist::KnowledgeSnapshot *knowledge_out = nullptr;
 };
-
-/**
- * Preset for service deployments (ROADMAP "Stream-budget adoption in
- * the explorer"): bound worst-case exploration latency by stream-
- * budgeting the Trojan-pruning stream while keeping predicate-match
- * and witness-producing queries unbudgeted. Pruning degrades
- * conservatively under the budget -- states the solver cannot cheaply
- * refute stay alive -- so the witness set is unchanged.
- */
-ServerExplorerConfig BudgetedExplorationPreset(
-    ServerExplorerConfig base = {});
 
 /** A discovered Trojan message. */
 struct TrojanWitness
@@ -271,9 +231,6 @@ class ServerExplorer : public symexec::Listener
     {
         smt::ExprContext *ctx;
         smt::Solver *solver;
-        /** Dedicated solver for the Trojan-pruning stream (stream-
-         *  budgeted presets); null means plane.solver serves it. */
-        smt::Solver *trojan_solver;
         const std::vector<std::vector<smt::ExprRef>> *match;
         const std::vector<smt::ExprRef> *negations;
         const std::vector<smt::ExprRef> *message;
@@ -370,8 +327,6 @@ class ServerExplorer : public symexec::Listener
     /** Home-plane match fingerprints (parallel planes build their
      *  own). */
     std::vector<exec::PruneFpVec> home_match_fps_;
-    /** Budgeted Trojan-stream solver (see trojan_stream_budget). */
-    std::unique_ptr<smt::Solver> home_trojan_solver_;
     Timer timer_;
 };
 

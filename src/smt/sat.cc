@@ -47,8 +47,6 @@ const struct
     {"sat.trail_reuses", &SatCounters::trail_reuses},
     {"sat.trail_levels_reused", &SatCounters::trail_levels_reused},
     {"sat.core_minimize_probes", &SatCounters::core_minimize_probes},
-    {"sat.batch_solves", &SatCounters::batch_solves},
-    {"sat.batch_rounds", &SatCounters::batch_rounds},
 };
 static_assert(sizeof(kCounterKeys) / sizeof(kCounterKeys[0]) *
                       sizeof(int64_t) ==
@@ -785,138 +783,6 @@ SatSolver::Solve(const std::vector<Lit> &assumptions, int64_t max_conflicts)
         MaybeExportCore();
     last_solve_conflicts_ = counters_.conflicts - conflicts_before;
     return status;
-}
-
-std::vector<SatStatus>
-SatSolver::SolveBatch(const std::vector<Lit> &assumptions,
-                      const std::vector<std::vector<Lit>> &groups,
-                      int64_t max_conflicts)
-{
-    std::vector<SatStatus> verdicts(groups.size(), SatStatus::kUnknown);
-    if (!ok_) {
-        std::fill(verdicts.begin(), verdicts.end(), SatStatus::kUnsat);
-        core_.clear();
-        last_solve_conflicts_ = 0;
-        return verdicts;
-    }
-    ++counters_.batch_solves;
-
-    // One representative literal per group. A singleton group is its
-    // own representative. A multi-literal (or empty) group gets a fresh
-    // definition variable g with g <-> AND(members): the (~g, m) half
-    // makes a model with g true certify every member, and the reverse
-    // clause (g, ~m_1, ..., ~m_t) makes a refutation over the
-    // representatives exclude exactly the groups it mentions (without
-    // it, an UNSAT round could hide a satisfiable group behind g set
-    // false). An empty group degenerates to the unit {g}: satisfiable
-    // exactly when the assumptions are, which is the right verdict for
-    // an empty conjunction.
-    std::vector<Lit> reps(groups.size());
-    for (size_t i = 0; i < groups.size() && ok_; ++i) {
-        const std::vector<Lit> &members = groups[i];
-        if (members.size() == 1) {
-            reps[i] = members[0];
-            continue;
-        }
-        const Lit g(NewDefinedVar(members), false);
-        std::vector<Lit> reverse;
-        reverse.reserve(members.size() + 1);
-        reverse.push_back(g);
-        for (Lit m : members) {
-            AddDefClause({~g, m});
-            reverse.push_back(~m);
-        }
-        AddDefClause(std::move(reverse));
-        reps[i] = g;
-    }
-    if (!ok_) {
-        // The definition clauses are satisfiability-preserving, so the
-        // root-level conflict means the base store itself is UNSAT --
-        // and with it every group.
-        std::fill(verdicts.begin(), verdicts.end(), SatStatus::kUnsat);
-        core_.clear();
-        last_solve_conflicts_ = 0;
-        return verdicts;
-    }
-
-    size_t pending = groups.size();
-    int64_t total_conflicts = 0;
-    int64_t budget_left = max_conflicts;
-    std::vector<Lit> round_assumptions(assumptions);
-    round_assumptions.emplace_back();  // selector slot, set per round
-
-    while (pending > 0 && ok_) {
-        if (max_conflicts >= 0 && budget_left <= 0)
-            break;
-        ++counters_.batch_rounds;
-        // Fresh throwaway selector steering the search toward some
-        // still-pending representative; retired with a unit after the
-        // round so later calls never see the steering clause active.
-        std::vector<Lit> steer;  // the pending representatives, then ~s
-        steer.reserve(pending + 1);
-        for (size_t i = 0; i < groups.size(); ++i) {
-            if (verdicts[i] == SatStatus::kUnknown)
-                steer.push_back(reps[i]);
-        }
-        const Lit s(NewDefinedVar(steer), false);
-        steer.push_back(~s);
-        if (!AddDefClause(std::move(steer)))
-            break;  // base store UNSAT; the !ok_ sweep below finishes
-        round_assumptions.back() = s;
-        const SatStatus status = Solve(round_assumptions, budget_left);
-        total_conflicts += last_solve_conflicts_;
-        if (max_conflicts >= 0) {
-            budget_left =
-                std::max<int64_t>(0, max_conflicts - total_conflicts);
-        }
-        if (status == SatStatus::kUnknown) {
-            AddDefClause({~s});
-            break;  // budget spent; the rest stay kUnknown
-        }
-        if (status == SatStatus::kUnsat) {
-            // The steering clause is satisfiable through any pending
-            // representative, so the refutation rules out all of them.
-            for (size_t i = 0; i < groups.size(); ++i) {
-                if (verdicts[i] == SatStatus::kUnknown)
-                    verdicts[i] = SatStatus::kUnsat;
-            }
-            pending = 0;
-            AddDefClause({~s});
-            break;
-        }
-        // kSat: mark every pending group the model satisfies. The
-        // steering clause guarantees at least one; phase saving tends
-        // to keep earlier groups' members true, so one round usually
-        // answers many.
-        size_t marked = 0;
-        for (size_t i = 0; i < groups.size(); ++i) {
-            if (verdicts[i] != SatStatus::kUnknown)
-                continue;
-            bool all_true = true;
-            for (Lit m : groups[i]) {
-                if (Value(m.var()) == m.negated()) {
-                    all_true = false;
-                    break;
-                }
-            }
-            if (all_true) {
-                verdicts[i] = SatStatus::kSat;
-                ++marked;
-                --pending;
-            }
-        }
-        ACHILLES_CHECK(marked > 0);
-        AddDefClause({~s});
-    }
-    if (!ok_) {
-        // A round (or selector retirement) surfaced a root conflict in
-        // the satisfiability-preserving store: base UNSAT, all groups
-        // with it.
-        std::fill(verdicts.begin(), verdicts.end(), SatStatus::kUnsat);
-    }
-    core_.clear();  // no single core describes a per-group sweep
-    last_solve_conflicts_ = total_conflicts;
-    return verdicts;
 }
 
 SatStatus

@@ -70,8 +70,6 @@ struct SatCounters
     int64_t trail_reuses = 0;
     int64_t trail_levels_reused = 0;
     int64_t core_minimize_probes = 0;
-    int64_t batch_solves = 0;
-    int64_t batch_rounds = 0;
 
     /** Field-wise sum and difference. */
     SatCounters &operator+=(const SatCounters &other);
@@ -98,24 +96,24 @@ struct SatCounters
  *    full decisions: every clause they add is a root.
  *  - Defined variables (NewDefinedVar) pull their inputs into the cone
  *    when they are in it. A definition is a Tseitin gate (its clauses
- *    fix it as a function of its inputs), or an activation guard or
- *    batch selector (each of its clauses contains its negation). Its
- *    clauses go through AddDefClause and mention only the variable and
- *    its inputs; inputs are created before the variable they define.
+ *    fix it as a function of its inputs) or an activation guard (each
+ *    of its clauses contains its negation). Its clauses go through
+ *    AddDefClause and mention only the variable and its inputs; inputs
+ *    are created before the variable they define.
  *
  * A call answers kSat once propagation is complete and conflict-free,
  * every assumption is true and every cone variable is assigned.
  * Soundness: let σ be that partial assignment. Extend it by visiting the
  * variables outside the cone in creation order: a gate takes the value
- * of its function over its (already valued) inputs, a guard or selector
- * is set false, any other variable is set false. The result satisfies
+ * of its function over its (already valued) inputs, a guard is set
+ * false, any other variable is set false. The result satisfies
  *
  *  - every AddClause clause and every definition of a cone variable:
  *    all their variables are in the cone, and a fully assigned clause
  *    under complete, conflict-free propagation is satisfied;
  *  - every definition of a gate outside the cone, by evaluation;
- *  - every definition of a guard or selector outside the cone, which
- *    contains its negation;
+ *  - every definition of a guard outside the cone, which contains its
+ *    negation;
  *  - learnt and imported clauses, which are implied by the clauses
  *    above;
  *
@@ -123,9 +121,8 @@ struct SatCounters
  * verdict is right and Value() on a cone variable is a value of a true
  * model. Callers read only cone variables: the facade reads the
  * variable bits of assertions it guarded (reached through their guard
- * and gate inputs) and SolveBatch reads group members (reached through
- * the round's selector). tests/test_sat_cone.cc checks the extension
- * on random circuits.
+ * and gate inputs). tests/test_sat_cone.cc checks the extension on
+ * random circuits.
  */
 class SatSolver
 {
@@ -180,40 +177,6 @@ class SatSolver
      */
     SatStatus Solve(const std::vector<Lit> &assumptions = {},
                     int64_t max_conflicts = -1);
-
-    /**
-     * Batched all-sat sweep: one verdict per guard group, where
-     * verdict[i] answers "are `assumptions` plus every literal of
-     * `groups[i]` jointly satisfiable?" -- exactly what a separate
-     * Solve(assumptions + groups[i]) call would answer -- but all
-     * verdicts are enumerated from one incremental search tree instead
-     * of |groups| independent calls.
-     *
-     * Mechanics: every multi-literal group gets a fresh definition
-     * variable g with g <-> AND(members) encoded in both directions, so
-     * a model with g true certifies the whole group and a refutation
-     * excluding every group representative excludes every group
-     * exactly; singleton groups are represented by their own literal.
-     * Each round solves under the caller's assumptions plus a throwaway
-     * selector forcing some pending representative true (the selector
-     * is defined over the pending representatives, so every pending
-     * group is in the round's cone); a SAT round marks every pending
-     * group the model happens to satisfy (phase saving keeps earlier
-     * groups true, so rounds typically answer many groups), an UNSAT
-     * round proves every remaining group kUnsat, and
-     * budget exhaustion (`max_conflicts` spent across rounds) leaves
-     * the rest kUnknown -- never a wrong verdict. Selectors are retired
-     * with a unit after each round; all added clauses are definitions
-     * (any model extends by setting the fresh variables accordingly), so
-     * later Solve calls are unaffected.
-     *
-     * No unsat core is reported (a per-group refutation has no single
-     * core); unsat_core() is empty after this call.
-     */
-    std::vector<SatStatus> SolveBatch(
-        const std::vector<Lit> &assumptions,
-        const std::vector<std::vector<Lit>> &groups,
-        int64_t max_conflicts = -1);
 
     /**
      * The assumption subset responsible for the last kUnsat answer (the

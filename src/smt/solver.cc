@@ -63,8 +63,7 @@ struct Solver::IncrementalBackend
 Solver::Solver(ExprContext *ctx, SolverConfig config,
                QueryCache *shared_cache, uint32_t shared_var_limit)
     : ctx_(ctx), config_(config), shared_cache_(shared_cache),
-      shared_var_limit_(shared_var_limit),
-      stream_base_(static_cast<double>(config.stream_budget.base))
+      shared_var_limit_(shared_var_limit)
 {
     if (config_.enable_cache)
         cache_ = std::make_unique<QueryCache>(/*shards=*/1);
@@ -73,11 +72,8 @@ Solver::Solver(ExprContext *ctx, SolverConfig config,
         obs_unknowns_ = config_.obs.CounterFor("solver.unknowns");
         obs_cache_hits_ = config_.obs.CounterFor("cache.hits");
         obs_cache_misses_ = config_.obs.CounterFor("cache.misses");
-        obs_batch_sweeps_ = config_.obs.CounterFor("solver.batch_sweeps");
-        obs_batch_guards_ = config_.obs.CounterFor("solver.batch_guards");
         obs_conflicts_ = config_.obs.DistributionFor("solver.conflicts");
         obs_core_size_ = config_.obs.DistributionFor("solver.core_size");
-        obs_batch_rounds_ = config_.obs.DistributionFor("solver.batch_rounds");
     }
 }
 
@@ -217,15 +213,13 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
     stats_.Bump("solver.queries");
 
     // Observability: one span per query on this solver's lane, finalized
-    // with verdict/conflicts/core/budget by `finish` below on every
+    // with verdict/conflicts/core by `finish` below on every
     // return path. All of it is behind null-check branches -- with
     // config_.obs unset the query runs exactly as before.
     obs::ScopedSpan span(config_.obs.tracer, config_.obs.lane,
                          "solver.query", "solver");
     const bool obs_on = config_.obs.enabled();
     const int64_t obs_conflicts_before = sat_totals_.conflicts;
-    const int64_t obs_budget_before =
-        obs_on ? stats_.Get("solver.stream_conflicts_spent") : 0;
     const auto finish = [&](CheckResult result) -> CheckResult {
         obs_queries_.Bump();
         if (result.status == CheckStatus::kUnknown)
@@ -244,11 +238,6 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
                     static_cast<int64_t>(result.core.size()));
                 span.AddArg("core", static_cast<int64_t>(result.core.size()));
             }
-            const int64_t budget_spent =
-                stats_.Get("solver.stream_conflicts_spent") -
-                obs_budget_before;
-            if (budget_spent > 0)
-                span.AddArg("budget_spent", budget_spent);
             span.SetStrArg("verdict", CheckResultName(result));
         }
         return result;
@@ -257,9 +246,8 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
     // Cores only accompany answers the model-less, unbudgeted
     // incremental path could have produced -- including the trivial
     // ones, so has_core remains a reliable proxy for "decided on the
-    // core-producing path" (budgeted -- flat or stream -- and
-    // model-producing queries are always core-less, per the
-    // CheckResult contract).
+    // core-producing path" (budgeted and model-producing queries are
+    // always core-less, per the CheckResult contract).
     const bool incremental_path = model == nullptr &&
                                   config_.enable_incremental &&
                                   config_.unbudgeted();
@@ -407,38 +395,6 @@ Solver::CheckSatSets(const std::vector<ExprRef> &base,
     return decided(status, out_model, got_core, live_core);
 }
 
-int64_t
-Solver::NextConflictBudget() const
-{
-    const StreamBudget &sb = config_.stream_budget;
-    if (!sb.enabled())
-        return config_.max_conflicts;
-    const int64_t base =
-        std::max(sb.floor, static_cast<int64_t>(stream_base_));
-    return base + stream_carry_;
-}
-
-void
-Solver::SettleStreamBudget(int64_t budget, int64_t spent, bool decided)
-{
-    const StreamBudget &sb = config_.stream_budget;
-    stats_.Bump("solver.stream_budgeted_solves");
-    stats_.Bump("solver.stream_conflicts_spent", spent);
-    // Decided queries roll a fraction of their unspent conflicts into
-    // the next query's allowance; exhausted (kUnknown) queries forfeit
-    // theirs, so a pathological query cannot inflate the stream.
-    int64_t carried = 0;
-    if (decided && spent < budget) {
-        carried = static_cast<int64_t>(
-            static_cast<double>(budget - spent) * sb.carry);
-    }
-    if (sb.carry_cap >= 0)
-        carried = std::min(carried, sb.carry_cap);
-    stream_carry_ = carried;
-    stream_base_ = std::max(static_cast<double>(sb.floor),
-                            stream_base_ * sb.decay);
-}
-
 CheckStatus
 Solver::SolveFresh(const std::vector<ExprRef> &live, Model *out_model)
 {
@@ -447,12 +403,7 @@ Solver::SolveFresh(const std::vector<ExprRef> &live, Model *out_model)
     BitBlaster blaster(&sat);
     for (ExprRef e : live)
         blaster.AssertTrue(e);
-    const int64_t budget = NextConflictBudget();
-    const SatStatus status = sat.Solve({}, budget);
-    if (config_.stream_budget.enabled()) {
-        SettleStreamBudget(budget, sat.last_solve_conflicts(),
-                           status != SatStatus::kUnknown);
-    }
+    const SatStatus status = sat.Solve({}, config_.max_conflicts);
     sat_totals_ += sat.counters();
     stats_.Bump("solver.sat_conflicts", sat.counters().conflicts);
     stats_.Bump("solver.sat_decisions", sat.counters().decisions);
@@ -655,159 +606,9 @@ Solver::CheckSatBatch(const std::vector<ExprRef> &base,
                       const std::vector<const std::vector<ExprRef> *> &groups)
 {
     BatchOutcome out;
-    out.verdicts.resize(groups.size());
-    if (groups.empty())
-        return out;
-    stats_.Bump("solver.batch_sweeps");
-    stats_.Bump("solver.batch_guards", static_cast<int64_t>(groups.size()));
-    obs_batch_sweeps_.Bump();
-    obs_batch_guards_.Bump(static_cast<int64_t>(groups.size()));
-    obs::ScopedSpan span(config_.obs.tracer, config_.obs.lane,
-                         "solver.batch", "solver");
-
-    if (!(config_.enable_incremental && config_.unbudgeted())) {
-        // Budgeted or incremental-off configurations fall back to the
-        // per-group loop (virtual, so a decorator still sees every
-        // call). kUnknown keeps its conservative meaning per group, and
-        // these configurations never produce cores, so the batch
-        // core-less contract holds for free.
-        stats_.Bump("solver.batch_fallbacks");
-        for (size_t i = 0; i < groups.size(); ++i)
-            out.verdicts[i] = CheckSatAssuming(base, *groups[i]);
-        out.rounds = static_cast<int64_t>(groups.size());
-        obs_batch_rounds_.Record(out.rounds);
-        return out;
-    }
-
-    // Answer what the query cache and trivial canonicalization already
-    // know; only the residue is swept. A group is keyed on its canonical
-    // base ∥ group assertion set, exactly what CheckSatAssuming would
-    // key, so point queries and sweeps share entries.
-    struct Residue
-    {
-        size_t index;
-        QueryCache *cache;
-        QueryCacheKey key;
-        QueryFingerprints fingerprints;
-    };
-    std::vector<Residue> residue;
-    residue.reserve(groups.size());
-    int64_t cache_hits = 0;
-    for (size_t i = 0; i < groups.size(); ++i) {
-        std::vector<ExprRef> live;
-        std::vector<uint32_t> caller_index;
-        uint32_t false_index = 0;
-        if (!Canonicalize(base, groups[i], &live, &caller_index,
-                          &false_index)) {
-            stats_.Bump("solver.trivial_unsat");
-            out.verdicts[i] = CheckStatus::kUnsat;
-            continue;
-        }
-        if (live.empty()) {
-            stats_.Bump("solver.trivial_sat");
-            out.verdicts[i] = CheckStatus::kSat;
-            continue;
-        }
-        Residue r{i, nullptr, {}, {}};
-        r.cache = KeyQuery(live, &r.key, &r.fingerprints);
-        if (r.cache != nullptr) {
-            // Status-only read: batch verdicts carry neither models nor
-            // cores, so any entry can serve.
-            CheckStatus status;
-            const bool hit = r.cache->Lookup(r.key, r.fingerprints,
-                                             /*want_model=*/false, &status,
-                                             nullptr);
-            CountProbe(r.cache, hit);
-            if (hit) {
-                ++cache_hits;
-                out.verdicts[i] = status;
-                continue;
-            }
-        }
-        residue.push_back(std::move(r));
-    }
-
-    if (!residue.empty()) {
-        EnsureIncrementalBackend();
-        stats_.Bump("solver.incremental_sat_calls");
-        // A sweep reports no cores, so minimization probes would be
-        // wasted work; the next point query re-arms the flag.
-        inc_->sat.SetMinimizeCore(false);
-        inc_->sat.SetTrailReuse(config_.enable_trail_reuse);
-
-        std::vector<ExprRef> base_live;
-        std::vector<Lit> assumptions;
-        {
-            std::vector<uint32_t> caller_index;
-            uint32_t false_index = 0;
-            // A trivially-false base would have answered every group
-            // kUnsat in the loop above; here the base canonicalizes.
-            const bool base_ok = Canonicalize(base, nullptr, &base_live,
-                                              &caller_index, &false_index);
-            ACHILLES_CHECK(base_ok);
-        }
-        bool new_guards = GuardAssertions(base_live, &assumptions);
-        std::vector<std::vector<Lit>> member_lits(residue.size());
-        std::vector<ExprRef> scratch;
-        for (size_t k = 0; k < residue.size(); ++k) {
-            scratch.clear();
-            for (ExprRef e : *groups[residue[k].index]) {
-                if (!e->IsTrue())  // IsFalse was answered above
-                    scratch.push_back(e);
-            }
-            new_guards |= GuardAssertions(scratch, &member_lits[k]);
-        }
-        SyncLemmaExchange(new_guards);
-        const int64_t rounds_before = inc_->sat.counters().batch_rounds;
-        const std::vector<SatStatus> sat_verdicts =
-            inc_->sat.SolveBatch(assumptions, member_lits);
-        out.rounds = inc_->sat.counters().batch_rounds - rounds_before;
-        DrainIncrementalStats();
-
-        bool any_sat = false;
-        for (size_t k = 0; k < residue.size(); ++k) {
-            CheckStatus status = CheckStatus::kUnknown;
-            switch (sat_verdicts[k]) {
-              case SatStatus::kSat: status = CheckStatus::kSat; break;
-              case SatStatus::kUnsat: status = CheckStatus::kUnsat; break;
-              case SatStatus::kUnknown: break;
-            }
-            out.verdicts[residue[k].index] = status;
-            if (status == CheckStatus::kSat)
-                any_sat = true;
-            if (residue[k].cache != nullptr) {
-                // kSat entries are model-less (upgraded in place by a
-                // later fresh-instance solve on first model demand);
-                // kUnsat entries are core-less per the batch contract.
-                residue[k].cache->Insert(residue[k].key,
-                                         residue[k].fingerprints, status,
-                                         /*has_model=*/false, Model());
-            }
-        }
-        if (config_.retain_models && any_sat) {
-            // Every SAT round left the model of its cone (the base and
-            // the groups pending in that round) in the persistent
-            // instance; defer extraction to the next StandingModel()
-            // read, like any incremental kSat. A group answered by an
-            // earlier round may read values a later round overwrote:
-            // still a concrete assignment, so staleness only lowers
-            // the pre-filter's hit rate.
-            standing_live_ = base_live;
-            for (size_t k = 0; k < residue.size(); ++k) {
-                if (out.verdicts[residue[k].index] == CheckStatus::kSat) {
-                    for (ExprRef e : *groups[residue[k].index])
-                        standing_live_.push_back(e);
-                }
-            }
-        }
-    }
-    obs_batch_rounds_.Record(out.rounds);
-    if (config_.obs.enabled()) {
-        span.AddArg("groups", static_cast<int64_t>(groups.size()));
-        span.AddArg("cache_hits", cache_hits);
-        span.AddArg("swept", static_cast<int64_t>(residue.size()));
-        span.AddArg("rounds", out.rounds);
-    }
+    out.verdicts.reserve(groups.size());
+    for (const std::vector<ExprRef> *group : groups)
+        out.verdicts.push_back(CheckSatAssuming(base, *group));
     return out;
 }
 

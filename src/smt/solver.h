@@ -149,35 +149,6 @@ class ClauseSource
     FetchLemmas(std::vector<std::vector<LemmaFingerprint>> *out) = 0;
 };
 
-/**
- * Stream-level conflict budgeting: a decaying per-query budget with
- * carry-forward of unspent conflicts, replacing the flat per-query
- * `max_conflicts` for bounded query streams (refinement's per-witness
- * re-checks). Early queries in a stream get generous budgets; the base
- * decays geometrically toward `floor`, and whatever a decided query
- * leaves unspent partially rolls into the next query's budget, so one
- * hard query late in the stream can still draw on the stream's savings
- * instead of being cut off by a flat cap. Undecided (kUnknown) queries
- * forfeit their budget -- carrying it would reward exhaustion.
- */
-struct StreamBudget
-{
-    /** Initial per-query conflict budget; < 0 disables stream
-     *  budgeting (the flat `max_conflicts` then applies unchanged). */
-    int64_t base = -1;
-    /** Geometric decay of the base after every budgeted solve. */
-    double decay = 1.0;
-    /** The decayed base never drops below this floor. */
-    int64_t floor = 1;
-    /** Fraction of a decided query's unspent conflicts carried into
-     *  the next query's budget. */
-    double carry = 0.5;
-    /** Cap on the carried amount; < 0 means uncapped. */
-    int64_t carry_cap = -1;
-
-    bool enabled() const { return base >= 0; }
-};
-
 /** Tunables for the solver facade. */
 struct SolverConfig
 {
@@ -185,14 +156,6 @@ struct SolverConfig
     bool use_interval_check = true;
     /** Conflict budget for the SAT search; < 0 means unlimited. */
     int64_t max_conflicts = -1;
-    /**
-     * Stream-level conflict budgets (see StreamBudget). When enabled,
-     * takes precedence over the flat `max_conflicts`: every solve runs
-     * on the deterministic fresh-instance path under the stream's
-     * current budget, and kUnknown keeps its conservative meaning (a
-     * budgeted answer never drops predicates or carries a core).
-     */
-    StreamBudget stream_budget;
     /** Re-evaluate every assertion under each SAT model (cheap; catches
      *  encoder bugs -- a model that fails validation is a panic). */
     bool validate_models = true;
@@ -227,9 +190,9 @@ struct SolverConfig
      * unlimited-budget queries take this path: model-producing queries
      * solve a fresh instance whose CNF numbering (and therefore model)
      * is a pure function of the structurally sorted query, and
-     * budget-limited queries (flat max_conflicts >= 0 or an enabled
-     * stream_budget) do too, so that the kUnsat/kUnknown boundary
-     * never depends on the learned clauses of earlier queries. Together these keep results and witness bytes
+     * budget-limited queries (max_conflicts >= 0) do too, so that the
+     * kUnsat/kUnknown boundary never depends on the learned clauses of
+     * earlier queries. Together these keep results and witness bytes
      * bitwise deterministic across runs, worker counts and query
      * history.
      */
@@ -302,40 +265,26 @@ struct SolverConfig
      * solver bumps live per-lane counters/distributions next to its
      * merge-at-join stats bag; when the tracer is set every
      * CheckSat/CheckSatAssuming records one span on the lane's track,
-     * annotated with conflicts spent, verdict, core size and stream
-     * budget drawn. Default (both null) leaves a single branch per
-     * query -- instrumentation is provably inert (witness sets are
-     * bitwise identical obs on/off; see tests/test_obs.cc).
+     * annotated with conflicts spent, verdict and core size. Default
+     * (both null) leaves a single branch per query -- instrumentation
+     * is provably inert (witness sets are bitwise identical obs
+     * on/off; see tests/test_obs.cc).
      */
     obs::ObsHandle obs;
 
-    /** True when queries run with no conflict budget of either kind --
-     *  the precondition for the incremental backend and for every
-     *  unsat-core consumer (nothing may be dropped on kUnknown). */
-    bool
-    unbudgeted() const
-    {
-        return max_conflicts < 0 && !stream_budget.enabled();
-    }
+    /** True when queries run with no conflict budget -- the
+     *  precondition for the incremental backend and for every unsat-core
+     *  consumer (nothing may be dropped on kUnknown). */
+    bool unbudgeted() const { return max_conflicts < 0; }
 };
 
 /**
- * Outcome of a batched satisfiability sweep (Solver::CheckSatBatch):
- * one verdict per guard group, in the caller's group order, plus the
- * number of SAT search rounds the sweep actually ran (the query-stream
- * compression the batch bought: rounds <= groups answered).
- *
- * Batch verdicts never carry unsat cores -- a sweep-wide refutation
- * implicates the whole pending set, not a per-group explanation -- so
- * core-guided consumers must treat batch kUnsat answers as core-less
- * (the has_core flag says exactly that). kUnknown keeps its
- * conservative meaning per group: budget exhaustion mid-sweep leaves
- * every unanswered group kUnknown, never a wrong verdict.
+ * Verdicts of Solver::CheckSatBatch, one per group in the caller's
+ * group order.
  */
 struct BatchOutcome
 {
     std::vector<CheckResult> verdicts;
-    int64_t rounds = 0;
 };
 
 class Lit;
@@ -345,11 +294,11 @@ class Lit;
  *
  * Holds state across queries: the query cache, the incremental backend
  * (a persistent SAT instance reused for all model-less queries; see
- * SolverConfig::enable_incremental), the lemma archive fetched from a
- * ClauseSource, and the stream-budget running balance. The Achilles
- * search generates thousands of small queries sharing path-constraint
- * prefixes, so reusing CNF, learned clauses and established assumption
- * trails across the stream is the dominant speed lever.
+ * SolverConfig::enable_incremental) and the lemma archive fetched from
+ * a ClauseSource. The Achilles search generates thousands of small
+ * queries sharing path-constraint prefixes, so reusing CNF, learned
+ * clauses and established assumption trails across the stream is the
+ * dominant speed lever.
  *
  * CheckSat/CheckSatAssuming/CheckSatBatch are virtual so decorators can
  * interpose (the benchmark's timing wrapper does). A Solver instance is
@@ -395,18 +344,10 @@ class Solver
                                          Model *model = nullptr);
 
     /**
-     * Batched all-sat sweep: answer "is base ∧ AND(*groups[i])
-     * satisfiable?" for every group in one pass. Semantically identical
-     * to calling CheckSatAssuming(base, *groups[i]) per group; on the
-     * unbudgeted incremental path the verdicts are enumerated from a
-     * single search tree (activation-literal representatives steered by
-     * throwaway selectors, see SatSolver::SolveBatch) instead of
-     * |groups| independent calls. Budgeted or incremental-off
-     * configurations fall back to the per-group loop, where kUnknown
-     * stays conservative per group. Verdicts never carry cores (see
-     * BatchOutcome); query-cache hits still answer individual groups
-     * before any solving, and decided verdicts are cached for later
-     * point queries.
+     * Answer "is base ∧ AND(*groups[i]) satisfiable?" for every group,
+     * one CheckSatAssuming call per group. Nothing in the analysis calls
+     * it; it stays virtual because the benchmark's timing decorator
+     * (perfbench/timing_solver.h) overrides it.
      */
     virtual BatchOutcome
     CheckSatBatch(const std::vector<ExprRef> &base,
@@ -507,12 +448,6 @@ class Solver
      *  rolling standing model; no-op when nothing is pending. */
     void RefreshStandingModel();
 
-    /** Conflict budget for the next fresh-instance solve: the stream
-     *  budget's current allowance when enabled, else max_conflicts. */
-    int64_t NextConflictBudget() const;
-    /** Advance the stream-budget state after a budgeted solve. */
-    void SettleStreamBudget(int64_t budget, int64_t spent, bool decided);
-
     /** Wire the export hook of a freshly built incremental backend. */
     void InstallExportHook();
     /** Install every fetched-but-uninstalled lemma whose assertions are
@@ -546,9 +481,6 @@ class Solver
      *  so it is deferred to the first StandingModel() read instead of
      *  taxing every query. */
     std::vector<ExprRef> standing_live_;
-    /** Stream-budget running state (see StreamBudget). */
-    double stream_base_ = -1.0;
-    int64_t stream_carry_ = 0;
     /** Counters summed over every SAT instance this solver ran (see
      *  sat_counters()). */
     SatCounters sat_totals_;
@@ -559,11 +491,8 @@ class Solver
     obs::MetricsRegistry::Counter obs_unknowns_;
     obs::MetricsRegistry::Counter obs_cache_hits_;
     obs::MetricsRegistry::Counter obs_cache_misses_;
-    obs::MetricsRegistry::Counter obs_batch_sweeps_;
-    obs::MetricsRegistry::Counter obs_batch_guards_;
     obs::MetricsRegistry::Distribution obs_conflicts_;
     obs::MetricsRegistry::Distribution obs_core_size_;
-    obs::MetricsRegistry::Distribution obs_batch_rounds_;
 };
 
 }  // namespace smt

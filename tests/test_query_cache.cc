@@ -11,8 +11,7 @@
 //
 // The solver's one cache path: a serial solver's private cache upgrades
 // model-less entries in place, replays cores in caller indices, keeps
-// interval cores, serves batch verdicts status-only, and a worker
-// solver keeps queries over worker-local variables out of the shared
+// interval cores, and a worker solver keeps queries over worker-local variables out of the shared
 // cache.
 
 #include <gtest/gtest.h>
@@ -361,50 +360,6 @@ TEST(SolverCacheTest, IntervalRefutedEntryKeepsItsIntervalCore)
     EXPECT_EQ(solver.stats().Get("solver.sat_calls") +
                   solver.stats().Get("solver.incremental_sat_calls"),
               0);
-}
-
-TEST(SolverCacheTest, BatchEntriesAreStatusOnlyAndUpgradeOnDemand)
-{
-    ExprContext ctx;
-    ExprRef x = ctx.FreshVar("x", 8);
-    ExprRef base = ctx.MakeUlt(x, ctx.MakeConst(8, 100));
-    std::vector<ExprRef> sat_group = {ctx.MakeEq(x, ctx.MakeConst(8, 42))};
-    // Unsat against the base, by search only.
-    std::vector<ExprRef> unsat_group = {
-        ctx.MakeEq(ctx.MakeAdd(x, ctx.MakeConst(8, 100)),
-                   ctx.MakeConst(8, 50))};
-    SolverConfig config;
-    config.use_interval_check = false;
-    Solver solver(&ctx, config);
-
-    const smt::BatchOutcome swept =
-        solver.CheckSatBatch({base}, {&sat_group, &unsat_group});
-    ASSERT_EQ(swept.verdicts.size(), 2u);
-    EXPECT_EQ(swept.verdicts[0], CheckResult::kSat);
-    EXPECT_EQ(swept.verdicts[1], CheckResult::kUnsat);
-
-    // Point queries on the same sets hit the batch entries: the kUnsat
-    // one without a core (batch verdicts carry none).
-    const CheckResult unsat = solver.CheckSatAssuming({base}, unsat_group);
-    EXPECT_EQ(unsat, CheckResult::kUnsat);
-    EXPECT_FALSE(unsat.has_core);
-    EXPECT_EQ(solver.stats().Get("solver.cache_hits"), 1);
-
-    // The kSat entry has no model; a witness request upgrades it.
-    Model m;
-    ASSERT_EQ(solver.CheckSatAssuming({base}, sat_group, &m),
-              CheckResult::kSat);
-    EXPECT_EQ(m.Get(x->VarId()), 42u);
-    EXPECT_EQ(solver.stats().Get("solver.cache_model_upgrades"), 1);
-    EXPECT_EQ(solver.stats().Get("solver.cache_hits"), 1);
-
-    // A second sweep is answered entirely from the cache.
-    const smt::BatchOutcome again =
-        solver.CheckSatBatch({base}, {&sat_group, &unsat_group});
-    EXPECT_EQ(again.rounds, 0);
-    EXPECT_EQ(again.verdicts[0], CheckResult::kSat);
-    EXPECT_EQ(again.verdicts[1], CheckResult::kUnsat);
-    EXPECT_EQ(solver.stats().Get("solver.cache_hits"), 3);
 }
 
 TEST(SolverCacheTest, WorkerLocalQueriesStayInThePrivateCache)

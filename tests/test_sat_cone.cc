@@ -5,8 +5,8 @@
 // raw hard clauses, solved under random assumption sequences. Every kSat
 // partial model, extended by evaluation outside the cone, must satisfy
 // every original clause, and every verdict must equal that of a fresh
-// solve in which every clause is a root. Solution reuse, imported
-// clauses and batched sweeps ride the same instance.
+// solve in which every clause is a root. Solution reuse and imported
+// clauses ride the same instance.
 
 #include <gtest/gtest.h>
 
@@ -294,49 +294,6 @@ TEST(SatConeTest, ExtendedModelsSatisfyEveryClauseAndVerdictsMatch)
     EXPECT_GT(unsat_answers, 100);
     EXPECT_GT(reuses, 100);
     EXPECT_GT(imports, 20);
-}
-
-TEST(SatConeTest, BatchVerdictsMatchFreshSolves)
-{
-    int64_t groups_answered = 0;
-    for (uint64_t seed = 100; seed < 140; ++seed) {
-        SatSolver sat;
-        RandomCircuit circuit(seed, &sat);
-        Rng &rng = circuit.rng();
-        for (int sweep = 0; sweep < 6; ++sweep) {
-            const std::vector<Lit> base = circuit.RandomAssumptions();
-            std::vector<std::vector<Lit>> groups(1 + rng.Below(5));
-            for (std::vector<Lit> &group : groups) {
-                const size_t size = rng.Below(3);  // empty groups too
-                for (size_t i = 0; i < size; ++i) {
-                    const Lit g = circuit.guards()[rng.Below(
-                        circuit.guards().size())];
-                    group.push_back(rng.Chance(0.8) ? g : ~g);
-                }
-            }
-            const std::vector<SatStatus> verdicts =
-                sat.SolveBatch(base, groups);
-            ASSERT_EQ(verdicts.size(), groups.size());
-            for (size_t i = 0; i < groups.size(); ++i) {
-                std::vector<Lit> assumptions = base;
-                assumptions.insert(assumptions.end(), groups[i].begin(),
-                                   groups[i].end());
-                ASSERT_EQ(verdicts[i], circuit.FreshVerdict(assumptions))
-                    << "seed=" << seed << " sweep=" << sweep
-                    << " group=" << i;
-                ++groups_answered;
-            }
-            // The sweep's definitions never disturb point queries.
-            const std::vector<Lit> point = circuit.RandomAssumptions();
-            const SatStatus expected = circuit.FreshVerdict(point);
-            ASSERT_EQ(sat.Solve(point), expected) << "seed=" << seed;
-            if (expected == SatStatus::kSat) {
-                ExpectModel(circuit, circuit.Extend(circuit.Cone(point)),
-                            point, "seed=" + std::to_string(seed));
-            }
-        }
-    }
-    EXPECT_GT(groups_answered, 500);
 }
 
 TEST(SatConeTest, DecidesOnlyTheAssumedCircuit)

@@ -344,11 +344,16 @@ TEST(ExplorerCoreTest, BudgetedSolverNeverCoreDrops)
 {
     // With a conflict budget the solver can answer kUnknown; the
     // explorer must fall back to plain per-predicate queries -- zero
-    // core-guided drops, even with the toggle on.
-    const PipelineRun run = RunFspPipeline(
-        /*workers=*/1, /*cores=*/true, /*difffrom=*/false,
-        /*max_conflicts=*/3);
-    EXPECT_EQ(run.core_drops, 0);
+    // core-guided drops, even with the toggle on. Worker solvers copy
+    // the home solver's budget, so the parallel planes are held to the
+    // same contract.
+    for (size_t workers : {1, 4}) {
+        const PipelineRun run = RunFspPipeline(
+            workers, /*cores=*/true, /*difffrom=*/false,
+            /*max_conflicts=*/3);
+        EXPECT_EQ(run.core_drops, 0) << workers << " workers";
+        EXPECT_GT(run.match_queries, 0) << workers << " workers";
+    }
 }
 
 }  // namespace

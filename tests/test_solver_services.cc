@@ -2,14 +2,16 @@
 //
 // The shared solver-services layer: assumption-prefix trail reuse
 // (SAT-level prefix keeping and facade-level stream equivalence),
-// stream-level conflict budgets (kUnknown conservatism, carry-forward
-// of unspent conflicts, explorer no-drop contract), the cross-worker
-// learned-clause exchange (pool semantics, lemma transfer between
-// solvers, verdict stability, witness determinism at 1/2/4/8 workers
-// with the exchange on and off), interval-checker core attribution
-// (sound bound-pair cores restoring the interval fast path on the
-// core-producing path), and the parity of the typed SAT counters with
-// their registry values.
+// conflict budgets (kUnknown conservatism, explorer no-drop contract),
+// the standing model behind the concrete pre-filter (it satisfies
+// every asserted constraint, so a pre-filter hit is a proof of kSat,
+// and witness sets are identical with the filter on or off at every
+// worker count), the cross-worker learned-clause exchange (pool
+// semantics, lemma transfer between solvers, verdict stability,
+// witness determinism at 1/2/4/8 workers with the exchange on and
+// off), interval-checker core attribution (sound bound-pair cores
+// restoring the interval fast path on the core-producing path), and
+// the parity of the typed SAT counters with their registry values.
 
 #include <gtest/gtest.h>
 
@@ -17,11 +19,14 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/achilles.h"
 #include "exec/clause_exchange.h"
 #include "proto/fsp/fsp_protocol.h"
+#include "proto/toy/toy_protocol.h"
+#include "smt/eval.h"
 #include "smt/interval.h"
 #include "smt/sat.h"
 #include "smt/solver.h"
@@ -173,50 +178,118 @@ HardUnsatQuery(ExprContext *ctx)
     return query;
 }
 
-TEST(StreamBudgetTest, ExhaustionIsUnknownUncachedAndCoreless)
+TEST(ConflictBudgetTest, ExhaustionIsUnknownUncachedAndCoreless)
 {
     ExprContext ctx;
     SolverConfig config;
-    config.stream_budget.base = 0;
-    config.stream_budget.floor = 0;
-    config.stream_budget.carry = 0.0;
+    config.max_conflicts = 0;
     Solver limited(&ctx, config);
 
     const std::vector<ExprRef> hard = HardUnsatQuery(&ctx);
     const CheckResult r = limited.CheckSat(hard);
     EXPECT_EQ(r, CheckResult::kUnknown);
     EXPECT_FALSE(r.has_core);
-    // Stream-budgeted queries bypass the incremental backend exactly
-    // like flat-budgeted ones (the kUnsat/kUnknown boundary must not
-    // depend on learned history), and kUnknown is never cached.
+    // Budgeted queries bypass the incremental backend (the
+    // kUnsat/kUnknown boundary must not depend on learned history),
+    // and kUnknown is never cached: the repeat solves again.
     EXPECT_EQ(limited.stats().Get("solver.incremental_sat_calls"), 0);
     EXPECT_EQ(limited.CheckSat(hard), CheckResult::kUnknown);
     EXPECT_EQ(limited.stats().Get("solver.cache_hits"), 0);
-    EXPECT_GE(limited.stats().Get("solver.stream_budgeted_solves"), 2);
+    EXPECT_EQ(limited.stats().Get("solver.sat_calls"), 2);
 }
 
-TEST(StreamBudgetTest, CarryForwardDecidesLateHardQuery)
+// ---------------------------------------------------- standing models
+
+TEST(StandingModelTest, ModelSatisfiesEveryAssertedConstraint)
 {
-    // The same hard query that a flat budget of 2 cannot decide becomes
-    // decidable late in a stream: every easy decided query rolls its
-    // unspent conflicts forward, so the stream's savings accumulate.
     ExprContext ctx;
-    const std::vector<ExprRef> hard = HardUnsatQuery(&ctx);
+    Solver solver(&ctx);
     ExprRef x = ctx.FreshVar("x", 8);
+    ExprRef y = ctx.FreshVar("y", 8);
 
+    const std::vector<ExprRef> first{
+        ctx.MakeUlt(x, ctx.MakeConst(8, 10)),
+        ctx.MakeEq(y, ctx.MakeConst(8, 3))};
+    ASSERT_EQ(solver.CheckSat(first), CheckResult::kSat);
+    const Model *standing = solver.StandingModel();
+    ASSERT_NE(standing, nullptr);
+    for (ExprRef e : first)
+        EXPECT_TRUE(smt::EvaluateBool(e, *standing));
+
+    // The standing model rolls forward with later satisfiable queries.
+    const std::vector<ExprRef> second{
+        ctx.MakeUgt(x, ctx.MakeConst(8, 200))};
+    ASSERT_EQ(solver.CheckSat(second), CheckResult::kSat);
+    standing = solver.StandingModel();
+    ASSERT_NE(standing, nullptr);
+    EXPECT_TRUE(smt::EvaluateBool(second[0], *standing));
+
+    // An unsatisfiable query leaves the last standing model in place.
+    const std::vector<ExprRef> contradiction{
+        ctx.MakeUlt(x, ctx.MakeConst(8, 1)),
+        ctx.MakeUgt(x, ctx.MakeConst(8, 1))};
+    ASSERT_EQ(solver.CheckSat(contradiction), CheckResult::kUnsat);
+    EXPECT_NE(solver.StandingModel(), nullptr);
+}
+
+TEST(StandingModelTest, DisabledRetentionReturnsNull)
+{
+    ExprContext ctx;
     SolverConfig config;
-    config.stream_budget.base = 2;
-    config.stream_budget.carry = 1.0;
-    Solver cold(&ctx, config);
-    EXPECT_EQ(cold.CheckSat(hard), CheckResult::kUnknown);
+    config.retain_models = false;
+    Solver solver(&ctx, config);
+    ExprRef x = ctx.FreshVar("x", 8);
+    ASSERT_EQ(solver.CheckSat({ctx.MakeEq(x, ctx.MakeConst(8, 1))}),
+              CheckResult::kSat);
+    EXPECT_EQ(solver.StandingModel(), nullptr);
+}
 
-    Solver warm(&ctx, config);
-    for (uint64_t i = 0; i < 200; ++i) {
-        ASSERT_EQ(warm.CheckSat(
-                      {ctx.MakeEq(x, ctx.MakeConst(8, i % 256))}),
-                  CheckResult::kSat);
+TEST(StandingModelTest, ConcretelyTrueAssignmentIsAProofOfSat)
+{
+    // The pre-filter's soundness argument, randomized: whenever a total
+    // concrete assignment evaluates every assertion to true, a fresh
+    // solver must answer kSat -- the assignment IS a witness, whatever
+    // query produced it. (The converse seeds the trial pool: models
+    // returned by the solver must evaluate to true.)
+    ExprContext ctx;
+    ExprRef a = ctx.FreshVar("a", 8);
+    ExprRef b = ctx.FreshVar("b", 8);
+    const std::vector<ExprRef> pool{
+        ctx.MakeUlt(a, ctx.MakeConst(8, 200)),
+        ctx.MakeUgt(a, ctx.MakeConst(8, 3)),
+        ctx.MakeEq(ctx.MakeAnd(a, ctx.MakeConst(8, 1)),
+                   ctx.MakeConst(8, 1)),
+        ctx.MakeUle(b, a),
+        ctx.MakeNe(b, ctx.MakeConst(8, 0)),
+        ctx.MakeUlt(ctx.MakeAdd(a, b), ctx.MakeConst(8, 250))};
+
+    Rng rng(0xba7c4);
+    size_t concrete_hits = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<ExprRef> assertions;
+        for (ExprRef e : pool)
+            if (rng.Below(2) == 0)
+                assertions.push_back(e);
+        Model model;
+        model.Set(a->VarId(), rng.Below(256));
+        model.Set(b->VarId(), rng.Below(256));
+        bool all_true = true;
+        for (ExprRef e : assertions)
+            all_true &= smt::EvaluateBool(e, model);
+        if (!all_true)
+            continue;
+        ++concrete_hits;
+        Solver fresh(&ctx);
+        EXPECT_EQ(fresh.CheckSat(assertions), CheckResult::kSat);
     }
-    EXPECT_EQ(warm.CheckSat(hard), CheckResult::kUnsat);
+    EXPECT_GT(concrete_hits, 0u) << "trial pool never exercised the "
+                                    "pre-filter direction";
+
+    Solver solver(&ctx);
+    Model model;
+    ASSERT_EQ(solver.CheckSat(pool, &model), CheckResult::kSat);
+    for (ExprRef e : pool)
+        EXPECT_TRUE(smt::EvaluateBool(e, model));
 }
 
 // --------------------------------------------- counter parity
@@ -240,8 +313,6 @@ ExpectSatCounterParity(const SatSolver &sat)
         {"sat.trail_reuses", c.trail_reuses},
         {"sat.trail_levels_reused", c.trail_levels_reused},
         {"sat.core_minimize_probes", c.core_minimize_probes},
-        {"sat.batch_solves", c.batch_solves},
-        {"sat.batch_rounds", c.batch_rounds},
     };
     for (const auto &[key, value] : fields)
         EXPECT_EQ(stats.Get(key), value) << key;
@@ -274,10 +345,7 @@ RunCounterParityStream()
         const size_t len = rng.Below(6);
         for (size_t k = 0; k < len; ++k)
             assumptions.emplace_back(rng.Below(kVars), rng.Chance(0.5));
-        if (q % 10 == 9)
-            sat.SolveBatch(assumptions, {{Lit(0, false)}, {Lit(1, true)}});
-        else
-            sat.Solve(assumptions, q % 7 == 6 ? 1 : -1);
+        sat.Solve(assumptions, q % 7 == 6 ? 1 : -1);
         ExpectSatCounterParity(sat);
     }
 
@@ -535,25 +603,20 @@ struct PipelineRun
     std::vector<WitnessSummary> witnesses;
     int64_t core_drops = 0;
     int64_t lemmas_published = 0;
+    /** Home-solver SAT calls cut off by the conflict budget. */
+    int64_t budget_exhausted = 0;
     size_t accepting_paths = 0;
 };
 
+/** One analysis of `config`'s protocol at `workers` workers on a
+ *  fresh solver. */
 PipelineRun
-RunFspPipeline(size_t workers, const SolverConfig &solver_config)
+RunPipeline(core::AchillesConfig config, size_t workers,
+            const SolverConfig &solver_config)
 {
     ExprContext ctx;
     Solver solver(&ctx, solver_config);
-
-    const std::vector<symexec::Program> clients = fsp::MakeAllClients();
-    const symexec::Program server = fsp::MakeServer();
-    core::AchillesConfig config;
-    config.layout = fsp::MakeLayout();
-    for (size_t i = 0; i < 2; ++i)
-        config.clients.push_back(&clients[i]);
-    config.server = &server;
     config.server_config.engine.num_workers = workers;
-    config.server_config.use_different_from = false;
-    config.compute_different_from = false;
     const core::AchillesResult result =
         core::RunAchilles(&ctx, &solver, config);
 
@@ -561,6 +624,7 @@ RunFspPipeline(size_t workers, const SolverConfig &solver_config)
     run.core_drops = result.server.stats.Get("explorer.core_drops");
     run.lemmas_published =
         result.server.stats.Get("exec.lemmas_published");
+    run.budget_exhausted = solver.sat_counters().budget_exhausted;
     run.accepting_paths = result.server.accepting_paths.size();
     core::CanonicalHasher hasher(&ctx);
     for (const core::TrojanWitness &t : result.server.trojans) {
@@ -571,22 +635,90 @@ RunFspPipeline(size_t workers, const SolverConfig &solver_config)
     return run;
 }
 
-TEST(StreamBudgetTest, ExplorerNeverDropsOnStreamBudget)
+/** FSP with two clients and the differentFrom matrix off, so core-guided
+ *  drops fire. */
+PipelineRun
+RunFspPipeline(size_t workers, const SolverConfig &solver_config)
 {
-    // A stream-budgeted solver can answer kUnknown, so the explorer
-    // must never consume cores: zero core-guided drops, and
-    // exploration stays a (conservative) superset of the unbudgeted
-    // run's accepting paths.
-    SolverConfig unbudgeted;
-    const PipelineRun real = RunFspPipeline(1, unbudgeted);
+    const std::vector<symexec::Program> clients = fsp::MakeAllClients();
+    const symexec::Program server = fsp::MakeServer();
+    core::AchillesConfig config;
+    config.layout = fsp::MakeLayout();
+    for (size_t i = 0; i < 2; ++i)
+        config.clients.push_back(&clients[i]);
+    config.server = &server;
+    config.server_config.use_different_from = false;
+    config.compute_different_from = false;
+    return RunPipeline(config, workers, solver_config);
+}
 
+/** The toy protocol; its Trojan and pruning queries need search, so a
+ *  zero conflict budget leaves some of them kUnknown. */
+PipelineRun
+RunToyPipeline(size_t workers, bool prefilter,
+               const SolverConfig &solver_config = {})
+{
+    const symexec::Program client = toy::MakeClient();
+    const symexec::Program server = toy::MakeServer();
+    core::AchillesConfig config;
+    config.layout = toy::MakeLayout(/*mask_crc=*/true);
+    config.clients = {&client};
+    config.server = &server;
+    config.server_config.use_concrete_prefilter = prefilter;
+    return RunPipeline(config, workers, solver_config);
+}
+
+TEST(StandingModelTest, WitnessesIdenticalAcrossPrefilterAndWorkers)
+{
+    // The pre-filter only ever answers a kSat the solver would have
+    // answered too, so the pre-filter off and on, each at 1/2/4/8
+    // workers, must produce bitwise identical witness sets.
+    const PipelineRun reference = RunToyPipeline(1, false);
+    ASSERT_FALSE(reference.witnesses.empty());
+    for (const bool prefilter : {false, true}) {
+        for (const size_t workers : {1, 2, 4, 8}) {
+            EXPECT_EQ(RunToyPipeline(workers, prefilter).witnesses,
+                      reference.witnesses)
+                << "prefilter=" << prefilter << " workers=" << workers;
+        }
+    }
+}
+
+/** True when every witness of `sub` is also a witness of `super`
+ *  (both sorted). */
+bool
+WitnessSubset(const PipelineRun &sub, const PipelineRun &super)
+{
+    return std::includes(super.witnesses.begin(), super.witnesses.end(),
+                         sub.witnesses.begin(), sub.witnesses.end());
+}
+
+TEST(ConflictBudgetTest, ExplorerNeverDropsOnConflictBudget)
+{
+    // A conflict-starved solver can answer kUnknown, so the explorer
+    // must never consume cores: zero core-guided drops, exploration
+    // stays a (conservative) superset of the unbudgeted run's accepting
+    // paths, and whatever witness it still emits is one the unbudgeted
+    // run emits too. FSP decides every query without a conflict, so it
+    // checks the core gate alone; on the toy protocol the budget
+    // actually runs out.
+    SolverConfig unbudgeted;
     SolverConfig budgeted;
-    budgeted.stream_budget.base = 0;
-    budgeted.stream_budget.floor = 0;
-    budgeted.stream_budget.carry = 0.0;
-    const PipelineRun run = RunFspPipeline(1, budgeted);
-    EXPECT_EQ(run.core_drops, 0);
-    EXPECT_GE(run.accepting_paths, real.accepting_paths);
+    budgeted.max_conflicts = 0;
+
+    const PipelineRun fsp_real = RunFspPipeline(1, unbudgeted);
+    const PipelineRun fsp_run = RunFspPipeline(1, budgeted);
+    EXPECT_GT(fsp_real.core_drops, 0);
+    EXPECT_EQ(fsp_run.core_drops, 0);
+    EXPECT_GE(fsp_run.accepting_paths, fsp_real.accepting_paths);
+    EXPECT_TRUE(WitnessSubset(fsp_run, fsp_real));
+
+    const PipelineRun toy_real = RunToyPipeline(1, true, unbudgeted);
+    const PipelineRun toy_run = RunToyPipeline(1, true, budgeted);
+    EXPECT_GT(toy_run.budget_exhausted, 0);
+    EXPECT_EQ(toy_run.core_drops, 0);
+    EXPECT_GE(toy_run.accepting_paths, toy_real.accepting_paths);
+    EXPECT_TRUE(WitnessSubset(toy_run, toy_real));
 }
 
 TEST(ClauseExchangeTest, WitnessesIdenticalAcrossWorkersAndExchange)

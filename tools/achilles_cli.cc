@@ -17,13 +17,16 @@
 //   --spec           parse + register a wire-format spec file and
 //                    analyze it (overrides --protocol)
 //   --list-protocols print every registered protocol name and exit
-//   --workers        server-exploration worker threads (default 1)
-//   --clients        client programs to include (default all)
+//   --workers        server-exploration worker threads, 1 to 256
+//                    (default 1)
+//   --clients        client programs to include, at least 1 (default
+//                    all)
 //   --metrics-out    write the end-of-run RunReport as one JSON object
 //   --trace-out      write the Chrome trace-event JSON (open the file in
 //                    chrome://tracing or https://ui.perfetto.dev)
 //   --progress       print a live progress heartbeat every second (or
-//                    every `secs` with --progress=secs)
+//                    every `secs` with --progress=secs, 0 < secs <=
+//                    86400)
 //   --knowledge-load warm-start: restore the pruning knowledge base,
 //                    lemma archive and query cache from a snapshot
 //                    written by a previous run of the same protocol (a
@@ -36,8 +39,13 @@
 //                    protocols never collide with their own history
 //
 // Log verbosity follows the ACHILLES_LOG environment variable
-// (debug|info|warn|error|off).
+// (debug|info|warn|error|off). A malformed or out-of-range number exits
+// with status 2 and a diagnostic before any work starts.
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -57,6 +65,44 @@
 using namespace achilles;
 
 namespace {
+
+/** Each worker is an OS thread with its own expression context and
+ *  solver, so the count is capped well below what would exhaust
+ *  threads or memory. */
+constexpr size_t kMaxWorkers = 256;
+/** Longest heartbeat period --progress accepts (one day). */
+constexpr double kMaxProgressSecs = 86400.0;
+
+/** Parses a decimal count: digits only, no sign, space or suffix. */
+bool
+ParseCount(const char *text, size_t *out)
+{
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long value = std::strtoull(text, &end, 10);
+    if (errno == ERANGE || *end != '\0' || value > SIZE_MAX)
+        return false;
+    *out = static_cast<size_t>(value);
+    return true;
+}
+
+/** Parses a finite, unsigned decimal number of seconds. */
+bool
+ParseSeconds(const char *text, double *out)
+{
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) &&
+        text[0] != '.')
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (errno == ERANGE || *end != '\0' || !std::isfinite(value))
+        return false;
+    *out = value;
+    return true;
+}
 
 void
 Usage(const char *argv0)
@@ -100,9 +146,24 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--list-protocols") == 0) {
             list_protocols = true;
         } else if (std::strcmp(arg, "--workers") == 0 && has_value) {
-            workers = static_cast<size_t>(std::atoi(argv[++i]));
+            const char *value = argv[++i];
+            if (!ParseCount(value, &workers) || workers < 1 ||
+                workers > kMaxWorkers) {
+                std::fprintf(stderr,
+                             "%s: --workers must be a whole number from 1 "
+                             "to %zu, got '%s'\n",
+                             argv[0], kMaxWorkers, value);
+                return 2;
+            }
         } else if (std::strcmp(arg, "--clients") == 0 && has_value) {
-            num_clients = static_cast<size_t>(std::atoi(argv[++i]));
+            const char *value = argv[++i];
+            if (!ParseCount(value, &num_clients) || num_clients < 1) {
+                std::fprintf(stderr,
+                             "%s: --clients must be a whole number of at "
+                             "least 1, got '%s'\n",
+                             argv[0], value);
+                return 2;
+            }
         } else if (std::strcmp(arg, "--metrics-out") == 0 && has_value) {
             metrics_path = argv[++i];
         } else if (std::strcmp(arg, "--trace-out") == 0 && has_value) {
@@ -118,7 +179,15 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--progress") == 0) {
             progress_secs = 1.0;
         } else if (std::strncmp(arg, "--progress=", 11) == 0) {
-            progress_secs = std::atof(arg + 11);
+            const char *value = arg + 11;
+            if (!ParseSeconds(value, &progress_secs) || progress_secs <= 0 ||
+                progress_secs > kMaxProgressSecs) {
+                std::fprintf(stderr,
+                             "%s: --progress must be a number of seconds "
+                             "above 0 and at most %g, got '%s'\n",
+                             argv[0], kMaxProgressSecs, value);
+                return 2;
+            }
         } else if (std::strcmp(arg, "--help") == 0 ||
                    std::strcmp(arg, "-h") == 0) {
             Usage(argv[0]);
@@ -130,8 +199,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (workers < 1)
-        workers = 1;
 
     proto::ProtocolRegistry &registry = proto::ProtocolRegistry::Global();
 
