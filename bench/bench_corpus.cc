@@ -32,6 +32,7 @@
 #include "core/achilles.h"
 #include "proto/registry.h"
 #include "proto/spec/lower.h"
+#include "support/parse.h"
 
 using namespace achilles;
 
@@ -92,9 +93,10 @@ main(int argc, char **argv)
     std::string specs_dir;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--limit") == 0 && i + 1 < argc)
-            limit = static_cast<size_t>(std::atoll(argv[i + 1]));
+            limit = CountFlagOrExit(argv[0], "--limit", argv[i + 1], 0);
         else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc)
-            workers = static_cast<size_t>(std::atoi(argv[i + 1]));
+            workers = CountFlagOrExit(argv[0], "--workers", argv[i + 1],
+                                      1, kMaxWorkers);
         else if (std::strcmp(argv[i], "--specs") == 0 && i + 1 < argc)
             specs_dir = argv[i + 1];
     }

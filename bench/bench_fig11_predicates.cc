@@ -28,6 +28,7 @@
 #include "core/achilles.h"
 #include "core/path_predicate.h"
 #include "proto/fsp/fsp_protocol.h"
+#include "support/parse.h"
 
 using namespace achilles;
 
@@ -611,7 +612,8 @@ main(int argc, char **argv)
         else if (std::strcmp(argv[i], "--json") == 0)
             compare = true;
         else if (std::strcmp(argv[i], "--clients") == 0 && i + 1 < argc)
-            num_clients = static_cast<size_t>(std::atoi(argv[i + 1]));
+            num_clients =
+                CountFlagOrExit(argv[0], "--clients", argv[i + 1], 1);
     }
 
     bench::Header("Figure 11 -- client path predicates matching each "

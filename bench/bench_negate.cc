@@ -2,8 +2,9 @@
 //
 // Measures the preprocessing phase building blocks: negation of the
 // real FSP client predicates (exact fast path), the fresh-copy encoding
-// with its solver-backed overlap check, and the differentFrom
-// precomputation with and without value-class grouping.
+// with its overlap check (proved without the solver for an injective
+// field expression, solver-backed otherwise), and the differentFrom
+// precomputation.
 
 #include <benchmark/benchmark.h>
 
@@ -70,8 +71,9 @@ BM_DifferentFromPrecompute(benchmark::State &state)
 }
 BENCHMARK(BM_DifferentFromPrecompute);
 
+/** Negates one predicate whose crc field is (λ·mul) ⊕ 0x5a, λ < 100. */
 void
-BM_OverlapCheckComplexExpr(benchmark::State &state)
+NegateComplexCrc(benchmark::State &state, uint64_t mul)
 {
     smt::ExprContext ctx;
     smt::Solver solver(&ctx);
@@ -81,7 +83,7 @@ BM_OverlapCheckComplexExpr(benchmark::State &state)
                                   ctx.FreshVar("m", 8)};
     smt::ExprRef lam = ctx.FreshVar("lam", 8);
     ClientPathPredicate pred;
-    pred.bytes = {lam, ctx.MakeXor(ctx.MakeMul(lam, ctx.MakeConst(8, 13)),
+    pred.bytes = {lam, ctx.MakeXor(ctx.MakeMul(lam, ctx.MakeConst(8, mul)),
                                    ctx.MakeConst(8, 0x5a))};
     pred.constraints = {ctx.MakeUlt(lam, ctx.MakeConst(8, 100))};
     for (auto _ : state) {
@@ -89,7 +91,22 @@ BM_OverlapCheckComplexExpr(benchmark::State &state)
         benchmark::DoNotOptimize(op.Negate(pred).fields.size());
     }
 }
-BENCHMARK(BM_OverlapCheckComplexExpr);
+
+/** λ·13 ⊕ 0x5a is injective: the overlap check is proved, no solver. */
+void
+BM_OverlapProvedInjective(benchmark::State &state)
+{
+    NegateComplexCrc(state, 13);
+}
+BENCHMARK(BM_OverlapProvedInjective);
+
+/** λ·12 ⊕ 0x5a loses the top bits: the overlap check runs the solver. */
+void
+BM_OverlapCheckSolver(benchmark::State &state)
+{
+    NegateComplexCrc(state, 12);
+}
+BENCHMARK(BM_OverlapCheckSolver);
 
 }  // namespace
 

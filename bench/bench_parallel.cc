@@ -55,6 +55,7 @@
 #include "core/achilles.h"
 #include "obs/heartbeat.h"
 #include "proto/fsp/fsp_protocol.h"
+#include "support/parse.h"
 
 using namespace achilles;
 using namespace achilles::core;
@@ -188,25 +189,31 @@ main(int argc, char **argv)
         else if (std::strcmp(argv[i], "--progress") == 0)
             progress_secs = 1.0;
         else if (std::strncmp(argv[i], "--progress=", 11) == 0)
-            progress_secs = std::atof(argv[i] + 11);
+            progress_secs =
+                ProgressSecsOrExit(argv[0], "--progress", argv[i] + 11);
     }
     for (int i = 1; i + 1 < argc; ++i) {
         if (std::strcmp(argv[i], "--clients") == 0) {
-            num_clients = static_cast<size_t>(std::atoi(argv[i + 1]));
+            num_clients =
+                CountFlagOrExit(argv[0], "--clients", argv[i + 1], 1);
         } else if (std::strcmp(argv[i], "--lemma-cap") == 0) {
-            lemma_cap = std::atoll(argv[i + 1]);
+            lemma_cap = static_cast<int64_t>(CountFlagOrExit(
+                argv[0], "--lemma-cap", argv[i + 1], 0, INT64_MAX));
         } else if (std::strcmp(argv[i], "--trace-out") == 0) {
             trace_path = argv[i + 1];
         } else if (std::strcmp(argv[i], "--workers") == 0) {
+            // A comma-separated list; every entry is parsed strictly.
             worker_counts.clear();
-            for (const char *p = argv[i + 1]; *p != '\0';) {
-                char *end = nullptr;
-                const long w = std::strtol(p, &end, 10);
-                if (end == p)
+            const std::string list = argv[i + 1];
+            for (size_t start = 0;;) {
+                const size_t comma = list.find(',', start);
+                const std::string item =
+                    list.substr(start, comma - start);
+                worker_counts.push_back(CountFlagOrExit(
+                    argv[0], "--workers", item.c_str(), 1, kMaxWorkers));
+                if (comma == std::string::npos)
                     break;
-                if (w > 0)
-                    worker_counts.push_back(static_cast<size_t>(w));
-                p = *end == ',' ? end + 1 : end;
+                start = comma + 1;
             }
         }
     }

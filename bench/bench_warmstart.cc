@@ -41,6 +41,7 @@
 #include "persist/snapshot.h"
 #include "proto/registry.h"
 #include "proto/synth/synth_family.h"
+#include "support/parse.h"
 
 using namespace achilles;
 
@@ -160,7 +161,8 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--snapshot-out") == 0 && i + 1 < argc)
             snapshot_out = argv[++i];
         else if (std::strcmp(argv[i], "--limit") == 0 && i + 1 < argc)
-            corpus_limit = static_cast<size_t>(std::atoi(argv[++i]));
+            corpus_limit =
+                CountFlagOrExit(argv[0], "--limit", argv[++i], 0);
     }
 
     bench::Header("Warm-start knowledge persistence (cold vs warm runs)");

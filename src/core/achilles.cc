@@ -75,6 +75,17 @@ RunAchilles(smt::ExprContext *ctx, smt::Solver *solver,
             result.preprocessing_stats.Merge(different_from.stats());
         }
         result.negate_stats = negate_op.stats();
+        // Carried into the run report, so --metrics-out sees them.
+        const NegateStats &ns = result.negate_stats;
+        auto set = [&](const char *name, size_t value) {
+            result.preprocessing_stats.Set(name,
+                                           static_cast<int64_t>(value));
+        };
+        set("negate.exact_predicates", ns.exact_predicates);
+        set("negate.approx_predicates", ns.approx_predicates);
+        set("negate.abandoned_fields", ns.abandoned_fields);
+        set("negate.overlap_discarded", ns.overlap_discarded);
+        set("negate.overlap_proved_injective", ns.overlap_proved_injective);
         span.AddArg("negations",
                     static_cast<int64_t>(result.negations.size()));
     }

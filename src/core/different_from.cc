@@ -4,6 +4,8 @@
 
 #include <unordered_set>
 
+#include "smt/eval.h"
+
 namespace achilles {
 namespace core {
 
@@ -52,6 +54,19 @@ DefineField(smt::ExprContext *ctx, const MessageLayout *layout,
         }
     }
     return def;
+}
+
+/** True iff `e` mentions no variable other than `var`. */
+bool
+MentionsOnly(const smt::ExprContext *ctx, smt::ExprRef e, smt::ExprRef var)
+{
+    std::unordered_set<uint32_t> vars;
+    ctx->CollectVars(e, &vars);
+    for (uint32_t v : vars) {
+        if (v != var->VarId())
+            return false;
+    }
+    return true;
 }
 
 }  // namespace
@@ -134,8 +149,21 @@ DifferentFromMatrix::Compute(const std::vector<ClientPathPredicate> &preds,
                     // Negation abandoned: cannot demonstrate difference.
                     continue;
                 }
-                std::vector<smt::ExprRef> query = defs[pa][f].constraints;
-                query.push_back(ctx_->MakeEq(probe, defs[pa][f].expr));
+                const FieldDef &def_a = defs[pa][f];
+                if (def_a.expr->IsConst() &&
+                    MentionsOnly(ctx_, neg_b, probe)) {
+                    // A constant C has no constraints, so the query
+                    // below is {probe == C, neg_b(probe)}: SAT exactly
+                    // when neg_b holds at C. Evaluate it instead.
+                    stats_.Bump("difffrom.concrete_cells");
+                    smt::Model at;
+                    at.Set(probe->VarId(), def_a.expr->ConstValue());
+                    if (smt::EvaluateBool(neg_b, at))
+                        rel.different[a][b] = 1;
+                    continue;
+                }
+                std::vector<smt::ExprRef> query = def_a.constraints;
+                query.push_back(ctx_->MakeEq(probe, def_a.expr));
                 query.push_back(neg_b);
                 stats_.Bump("difffrom.solver_queries");
                 if (solver_->CheckSat(query) == smt::CheckResult::kSat)

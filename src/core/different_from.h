@@ -17,7 +17,12 @@
 // classes by canonical hashing; solver queries run between class
 // representatives only, which turns the O(n^2) pairwise computation into
 // O(c^2) with c = number of distinct value classes (single digits in
-// practice).
+// practice). A cell whose class-a definition is a constant C, against a
+// class-b negation over the probe alone (Case 1 and Case 2 negations),
+// needs no solver either: its query {probe == C, neg_b} is SAT exactly
+// when neg_b evaluates true at probe = C, so it is decided by
+// evaluation (counted in difffrom.concrete_cells; difffrom.solver_queries
+// counts only real solver calls).
 //
 // Runtime overlay: the static matrix is computed once, before the
 // exploration, so it can only relate pairs through the value classes it

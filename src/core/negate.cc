@@ -6,9 +6,58 @@
 
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 namespace achilles {
 namespace core {
+
+namespace {
+
+/**
+ * True when `e` is an injective function of a single variable, built
+ * from steps that each lose no information: add, sub or xor with a
+ * constant, mul by an odd constant (invertible mod 2^w), not, zext,
+ * sext and concat with a constant. Two's-complement negation is
+ * 0 - x, so it is covered. False for anything else (masks, extracts,
+ * shifts, division, two-variable expressions, even multipliers).
+ */
+bool
+IsInjectiveInOneVariable(smt::ExprRef e)
+{
+    using smt::Kind;
+    for (;;) {
+        switch (e->kind()) {
+          case Kind::kVar:
+            return true;
+          case Kind::kNot:
+          case Kind::kZExt:
+          case Kind::kSExt:
+            e = e->kid(0);
+            break;
+          case Kind::kMul:
+          case Kind::kAdd:
+          case Kind::kSub:
+          case Kind::kXor:
+          case Kind::kConcat: {
+            // Exactly one operand may be non-constant, so the chain
+            // stays a function of a single variable.
+            smt::ExprRef c = e->kid(0), rest = e->kid(1);
+            if (!c->IsConst())
+                std::swap(c, rest);
+            if (!c->IsConst() || rest->IsConst())
+                return false;
+            if (e->kind() == Kind::kMul && (c->ConstValue() & 1) == 0)
+                return false;
+            e = rest;
+            break;
+          }
+          default:
+            return false;
+        }
+    }
+}
+
+}  // namespace
 
 NegateOperator::NegateOperator(smt::ExprContext *ctx, smt::Solver *solver,
                                const MessageLayout *layout,
@@ -120,12 +169,22 @@ NegateOperator::NegateField(const ClientPathPredicate &pred,
     // both under the original constraints and under the negated copy,
     // the candidate overlaps the original value set -- discard it so the
     // negate operator stays an under-approximation of the complement.
-    std::vector<smt::ExprRef> overlap_query = touching;
-    overlap_query.push_back(ctx_->MakeEq(target, e));
-    overlap_query.push_back(candidate);
-    if (solver_->CheckSat(overlap_query) != smt::CheckResult::kUnsat) {
-        ++stats_.overlap_discarded;
-        return result;
+    //
+    // When e is injective in its one variable λ and the constraints
+    // mention only λ, target == e(λ) == e(λ') forces λ == λ', so the
+    // overlap query is S(λ) ∧ ¬S(λ): UNSAT by construction, no solver
+    // call needed. This is Case 2's substitution argument run through
+    // an invertible map.
+    if (self_contained && IsInjectiveInOneVariable(e)) {
+        ++stats_.overlap_proved_injective;
+    } else {
+        std::vector<smt::ExprRef> overlap_query = touching;
+        overlap_query.push_back(ctx_->MakeEq(target, e));
+        overlap_query.push_back(candidate);
+        if (solver_->CheckSat(overlap_query) != smt::CheckResult::kUnsat) {
+            ++stats_.overlap_discarded;
+            return result;
+        }
     }
     result.expr = candidate;
     result.exact = false;

@@ -15,9 +15,14 @@
 //   field value unconstrained / S empty     ->  abandoned for this field
 //
 // As in Section 4.1, each generated field negation is checked for
-// overlap with the original field definition using the solver; negations
-// that overlap are discarded, so the negate operator never introduces
-// false positives.
+// overlap with the original field definition; negations that overlap are
+// discarded, so the negate operator never introduces false positives.
+// The check needs no solver when e is an injective function of its one
+// variable λ (add/sub/xor with a constant, mul by an odd constant, not,
+// zext, sext, concat with a constant) and S mentions only λ: then
+// e(λ) == e(λ') forces λ == λ', and the overlap query S(λ) ∧ ¬S(λ) is
+// UNSAT by construction. Every other complex expression still goes to
+// the solver.
 
 #ifndef ACHILLES_CORE_NEGATE_H_
 #define ACHILLES_CORE_NEGATE_H_
@@ -87,6 +92,8 @@ struct NegateStats
     size_t approx_predicates = 0;
     size_t abandoned_fields = 0;
     size_t overlap_discarded = 0;
+    /** Overlap checks answered UNSAT by injectivity, without a solver. */
+    size_t overlap_proved_injective = 0;
 };
 
 /**

@@ -54,7 +54,8 @@ PrintReport(std::ostream &os, const MessageLayout &layout,
        << " approx=" << result.negate_stats.approx_predicates
        << " abandoned-fields=" << result.negate_stats.abandoned_fields
        << " overlap-discarded=" << result.negate_stats.overlap_discarded
-       << "\n";
+       << " proved-injective="
+       << result.negate_stats.overlap_proved_injective << "\n";
     os << "phase timings (s): client="
        << result.timings.client_extraction
        << " preprocess=" << result.timings.preprocessing

@@ -9,12 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <tuple>
+#include <unordered_set>
+#include <utility>
 
 #include "core/achilles.h"
 #include "core/different_from.h"
 #include "core/negate.h"
 #include "core/server_explorer.h"
+#include "proto/fsp/fsp_protocol.h"
+#include "proto/synth/synth_family.h"
 #include "proto/toy/toy_protocol.h"
 #include "smt/solver.h"
 #include "symexec/program.h"
@@ -213,6 +218,154 @@ TEST_F(DifferentFromTest, NegateOnZeroFieldLayouts)
     EXPECT_TRUE(analysis.trojans.empty());
     EXPECT_GE(analysis.stats.Get("explorer.blocked_by_unusable_negation"),
               1);
+}
+
+// --------------------------------- cells decided by evaluation
+
+/** The constraints of `pred` transitively linked to `value`'s
+ *  variables: the field definition the matrix compares. */
+std::vector<ExprRef>
+LinkedConstraints(const ExprContext &ctx, const ClientPathPredicate &pred,
+                  ExprRef value)
+{
+    std::unordered_set<uint32_t> vars;
+    ctx.CollectVars(value, &vars);
+    std::vector<ExprRef> out;
+    std::vector<bool> taken(pred.constraints.size(), false);
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (size_t k = 0; k < pred.constraints.size(); ++k) {
+            if (taken[k])
+                continue;
+            std::unordered_set<uint32_t> cvars;
+            ctx.CollectVars(pred.constraints[k], &cvars);
+            bool touches = false;
+            for (uint32_t v : cvars)
+                touches |= vars.count(v) != 0;
+            if (!touches)
+                continue;
+            taken[k] = changed = true;
+            out.push_back(pred.constraints[k]);
+            vars.insert(cvars.begin(), cvars.end());
+        }
+    }
+    return out;
+}
+
+struct MatrixCounts
+{
+    int64_t concrete_cells = 0;
+    int64_t solver_queries = 0;
+};
+
+/**
+ * Computes the matrix for `clients`, then recomputes every cell the
+ * way the matrix did before constant cells were evaluated -- a
+ * NegateFieldAgainst negation plus a solver call for every pair of
+ * distinct value classes -- and expects Different() to agree on every
+ * (i, j, field).
+ */
+MatrixCounts
+ExpectCellsMatchSolver(const std::vector<const Program *> &clients,
+                       const MessageLayout &layout)
+{
+    ExprContext ctx;
+    Solver solver(&ctx);
+    const std::vector<ClientPathPredicate> preds =
+        ExtractClientPredicate(&ctx, &solver, clients, layout).paths;
+    std::vector<ExprRef> msg;
+    for (uint32_t i = 0; i < layout.length(); ++i)
+        msg.push_back(ctx.FreshVar("msg", 8));
+    NegateOperator negate_op(&ctx, &solver, &layout, msg);
+    DifferentFromMatrix matrix(&ctx, &solver, &layout);
+    matrix.Compute(preds, &negate_op);
+
+    MatrixCounts counts;
+    counts.concrete_cells = matrix.stats().Get("difffrom.concrete_cells");
+    counts.solver_queries = matrix.stats().Get("difffrom.solver_queries");
+
+    Solver check(&ctx);
+    const size_t n = preds.size();
+    for (const FieldSpec &field : layout.AnalyzedFields()) {
+        if (!matrix.IsIndependentField(field.name))
+            continue;
+        ExprRef probe = ctx.FreshVar("check_probe", field.size * 8);
+        // Class representatives are the first member of each class.
+        std::vector<uint32_t> rep(n);
+        for (size_t i = 0; i < n; ++i)
+            rep[i] = matrix.SameValueClass(i, field.name).front();
+        std::map<std::pair<uint32_t, uint32_t>, bool> solved;
+        for (size_t i = 0; i < n; ++i) {
+            for (size_t j = 0; j < n; ++j) {
+                const uint32_t a = rep[i], b = rep[j];
+                bool expected = false;
+                if (a != b) {
+                    auto it = solved.find({a, b});
+                    if (it == solved.end()) {
+                        bool sat = false;
+                        ExprRef neg_b = negate_op.NegateFieldAgainst(
+                            preds[b], field, probe);
+                        if (neg_b != nullptr) {
+                            ExprRef value =
+                                layout.FieldExpr(&ctx, preds[a].bytes,
+                                                 field);
+                            std::vector<ExprRef> query =
+                                LinkedConstraints(ctx, preds[a], value);
+                            query.push_back(ctx.MakeEq(probe, value));
+                            query.push_back(neg_b);
+                            sat = check.CheckSat(query) ==
+                                  smt::CheckResult::kSat;
+                        }
+                        it = solved.emplace(std::make_pair(a, b), sat)
+                                 .first;
+                    }
+                    expected = it->second;
+                }
+                if (matrix.Different(i, j, field.name) != expected) {
+                    ADD_FAILURE() << field.name << " cell (" << i << ", "
+                                  << j << ") should be " << expected;
+                    return counts;
+                }
+            }
+        }
+    }
+    return counts;
+}
+
+TEST(DifferentFromCellsTest, EvaluatedCellsMatchSolverOnFsp)
+{
+    const std::vector<Program> fsp_clients = fsp::MakeAllClients();
+    std::vector<const Program *> clients;
+    for (const Program &c : fsp_clients)
+        clients.push_back(&c);
+    const MatrixCounts counts =
+        ExpectCellsMatchSolver(clients, fsp::MakeLayout());
+    EXPECT_GT(counts.concrete_cells, 0);
+}
+
+TEST(DifferentFromCellsTest, EvaluatedCellsMatchSolverOnSampledProtocols)
+{
+    for (double coupling : {0.0, 0.5, 1.0}) {
+        for (uint64_t seed : {0, 1}) {
+            synth::FamilyKnobs knobs;
+            knobs.dispatch_depth = 3;
+            knobs.field_coupling = coupling;
+            knobs.seed = seed;
+            SCOPED_TRACE(synth::ProtocolName(knobs));
+            const Program client =
+                synth::MakeSampledClient(synth::SampleParams(knobs));
+            const MatrixCounts counts = ExpectCellsMatchSolver(
+                {&client}, synth::MakeSampledLayout());
+            // The cmd field is a constant in every predicate: all its
+            // cells are evaluated.
+            EXPECT_GT(counts.concrete_cells, 0);
+            // Uncoupled, arg and tag are independent ranged variables:
+            // their cells compare non-constant sets on the solver.
+            if (coupling == 0.0) {
+                EXPECT_GT(counts.solver_queries, 0);
+            }
+        }
+    }
 }
 
 /** Witness summary that is comparable across independent runs. */

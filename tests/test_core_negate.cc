@@ -12,6 +12,7 @@
 #include "core/path_predicate.h"
 #include "smt/eval.h"
 #include "smt/solver.h"
+#include "support/rng.h"
 
 namespace achilles {
 namespace core {
@@ -128,6 +129,7 @@ TEST_F(NegateTest, ComplexExpressionUsesFreshCopies)
     // overlap filter must discard the negation entirely.
     EXPECT_EQ(crc_neg, nullptr);
     EXPECT_GE(op.stats().overlap_discarded, 1u);
+    EXPECT_EQ(op.stats().overlap_proved_injective, 0u);
     EXPECT_FALSE(neg.exact);
 }
 
@@ -167,6 +169,9 @@ TEST_F(NegateTest, ComplexExpressionWithoutOverlapIsKept)
     EXPECT_EQ(sat_with_crc(199), CheckResult::kUnsat);
     EXPECT_EQ(sat_with_crc(200), CheckResult::kSat);
     EXPECT_EQ(sat_with_crc(50), CheckResult::kSat);
+    // λ + 100 is injective in λ, so no solver call proved it.
+    EXPECT_EQ(op.stats().overlap_proved_injective, 1u);
+    EXPECT_EQ(op.stats().overlap_discarded, 0u);
 }
 
 TEST_F(NegateTest, MaskedFieldsAreSkipped)
@@ -258,6 +263,185 @@ TEST_F(NegateTest, MultiByteFieldReassembly)
                                ctx.MakeEq(server_id,
                                           ctx.MakeConst(16, 1500))}),
               CheckResult::kSat);
+}
+
+// ------------------------------------------- injective overlap proof
+
+/** One injective step applied to `x`, drawn from `rng`. */
+ExprRef
+RandomInjectiveStep(ExprContext *ctx, Rng *rng, ExprRef x)
+{
+    const uint32_t w = x->width();
+    const uint64_t c = rng->Below(uint64_t{1} << w);
+    switch (rng->Below(7)) {
+      case 0:
+        return ctx->MakeAdd(x, ctx->MakeConst(w, c));
+      case 1:
+        return ctx->MakeSub(x, ctx->MakeConst(w, c));
+      case 2:
+        return ctx->MakeSub(ctx->MakeConst(w, c), x);
+      case 3:
+        return ctx->MakeXor(x, ctx->MakeConst(w, c));
+      case 4:
+        return ctx->MakeMul(x, ctx->MakeConst(w, c | 1));
+      case 5:
+        return ctx->MakeNot(x);
+      default:
+        return ctx->MakeNeg(x);
+    }
+}
+
+/** Widens an 8-bit `x` to 16 bits without losing information. */
+ExprRef
+RandomWidening(ExprContext *ctx, Rng *rng, ExprRef x)
+{
+    const ExprRef c = ctx->MakeConst(8, rng->Below(256));
+    switch (rng->Below(4)) {
+      case 0:
+        return ctx->MakeZExt(x, 16);
+      case 1:
+        return ctx->MakeSExt(x, 16);
+      case 2:
+        return ctx->MakeConcat(c, x);
+      default:
+        return ctx->MakeConcat(x, c);
+    }
+}
+
+TEST(NegateInjectiveTest, RandomInjectiveChainsAreProvedAndSolverAgrees)
+{
+    // Seeded random chains e(λ) of injective steps over an 8-bit λ,
+    // some widened to a 16-bit field through zext/sext/concat, under a
+    // random range constraint on λ. The recognizer must skip the
+    // solver on every one, and the full Section 4.1 overlap query --
+    // which the proof claims is UNSAT -- must be UNSAT in the solver.
+    Rng rng(20141);
+    int proved = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+        ExprContext ctx;
+        Solver solver(&ctx);
+        const bool wide = trial % 2 == 1;
+        MessageLayout layout(wide ? 3 : 2);
+        layout.AddField("cmd", 0, 1).AddField("tag", 1, wide ? 2 : 1);
+        std::vector<ExprRef> msg;
+        for (uint32_t i = 0; i < layout.length(); ++i)
+            msg.push_back(ctx.FreshVar("M", 8));
+
+        ExprRef lam = ctx.FreshVar("lam", 8);
+        ExprRef e = lam;
+        for (uint64_t k = rng.Range(1, 4); k > 0; --k)
+            e = RandomInjectiveStep(&ctx, &rng, e);
+        if (wide) {
+            e = RandomWidening(&ctx, &rng, e);
+            for (uint64_t k = rng.Below(3); k > 0; --k)
+                e = RandomInjectiveStep(&ctx, &rng, e);
+        }
+        if (e->IsVar())
+            continue;  // the steps cancelled: Case 2, not Case 3
+
+        const uint64_t lo = rng.Range(1, 200);
+        const uint64_t hi = rng.Range(lo, 254);
+        ClientPathPredicate pred;
+        pred.bytes = {ctx.MakeConst(8, 7), ctx.MakeExtract(e, 0, 8)};
+        if (wide)
+            pred.bytes.push_back(ctx.MakeExtract(e, 8, 8));
+        pred.constraints = {ctx.MakeUle(ctx.MakeConst(8, lo), lam),
+                            ctx.MakeUle(lam, ctx.MakeConst(8, hi))};
+
+        NegateOperator op(&ctx, &solver, &layout, msg);
+        const int64_t queries_before = solver.stats().Get("solver.queries");
+        NegatedPredicate neg = op.Negate(pred);
+        EXPECT_EQ(op.stats().overlap_proved_injective, 1u)
+            << ctx.ToString(e);
+        EXPECT_EQ(solver.stats().Get("solver.queries"), queries_before);
+        ExprRef tag_neg = neg.FieldDisjunct("tag");
+        ASSERT_NE(tag_neg, nullptr) << ctx.ToString(e);
+
+        const FieldSpec &tag = *layout.Find("tag");
+        ExprRef target = layout.FieldExpr(&ctx, msg, tag);
+        std::vector<ExprRef> overlap = pred.constraints;
+        overlap.push_back(
+            ctx.MakeEq(target, layout.FieldExpr(&ctx, pred.bytes, tag)));
+        overlap.push_back(tag_neg);
+        EXPECT_EQ(solver.CheckSat(overlap), CheckResult::kUnsat)
+            << ctx.ToString(e);
+        ++proved;
+    }
+    EXPECT_GE(proved, 50);
+}
+
+/** A one-byte layout whose field the recognizer must decline. */
+class NegateDeclineTest : public ::testing::Test
+{
+  protected:
+    NegateDeclineTest() : solver(&ctx)
+    {
+        layout.AddField("tag", 0, 1);
+        msg.push_back(ctx.FreshVar("M", 8));
+    }
+
+    /** Negates a one-field predicate; true when the solver was asked. */
+    bool
+    AsksSolver(ExprRef value, std::vector<ExprRef> constraints)
+    {
+        ClientPathPredicate pred;
+        pred.bytes = {value};
+        pred.constraints = std::move(constraints);
+        NegateOperator op(&ctx, &solver, &layout, msg);
+        const int64_t before = solver.stats().Get("solver.queries");
+        op.Negate(pred);
+        EXPECT_EQ(op.stats().overlap_proved_injective, 0u)
+            << ctx.ToString(value);
+        return solver.stats().Get("solver.queries") > before;
+    }
+
+    ExprRef C(uint64_t v) { return ctx.MakeConst(8, v); }
+
+    ExprContext ctx;
+    Solver solver;
+    MessageLayout layout{1};
+    std::vector<ExprRef> msg;
+};
+
+TEST_F(NegateDeclineTest, NonInjectiveStepsGoToTheSolver)
+{
+    ExprRef lam = ctx.FreshVar("lam", 8);
+    const std::vector<ExprRef> range{ctx.MakeUlt(lam, C(50))};
+    EXPECT_TRUE(AsksSolver(ctx.MakeMul(lam, C(12)), range));
+    EXPECT_TRUE(AsksSolver(ctx.MakeAnd(lam, C(0x0f)), range));
+    EXPECT_TRUE(AsksSolver(ctx.MakeOr(lam, C(0x80)), range));
+    EXPECT_TRUE(AsksSolver(ctx.MakeShl(lam, C(1)), range));
+    EXPECT_TRUE(AsksSolver(ctx.MakeLShr(lam, C(1)), range));
+    EXPECT_TRUE(AsksSolver(ctx.MakeAShr(lam, C(1)), range));
+    EXPECT_TRUE(AsksSolver(ctx.MakeUDiv(lam, C(3)), range));
+    EXPECT_TRUE(AsksSolver(ctx.MakeURem(lam, C(7)), range));
+    // A non-injective step anywhere in the chain spoils it.
+    EXPECT_TRUE(AsksSolver(
+        ctx.MakeAdd(ctx.MakeMul(ctx.MakeAnd(lam, C(0x3f)), C(5)), C(9)),
+        range));
+
+    // Extract of a wider variable drops bits.
+    ExprRef wide = ctx.FreshVar("wide", 16);
+    EXPECT_TRUE(AsksSolver(
+        ctx.MakeAdd(ctx.MakeExtract(wide, 0, 8), C(1)),
+        {ctx.MakeUlt(wide, ctx.MakeConst(16, 300))}));
+}
+
+TEST_F(NegateDeclineTest, SecondVariablesGoToTheSolver)
+{
+    ExprRef lam = ctx.FreshVar("lam", 8);
+    ExprRef mu = ctx.FreshVar("mu", 8);
+    // Two-variable expression: each step is invertible, but e(λ, μ)
+    // is not injective in either variable alone.
+    EXPECT_TRUE(AsksSolver(ctx.MakeAdd(lam, mu),
+                           {ctx.MakeUlt(lam, C(50)),
+                            ctx.MakeUlt(mu, C(50))}));
+    EXPECT_TRUE(AsksSolver(ctx.MakeXor(ctx.MakeMul(lam, C(3)), mu),
+                           {ctx.MakeUlt(lam, C(50))}));
+    // Injective in λ, but a constraint ties λ to a second variable:
+    // not self-contained, so the substitution argument does not hold.
+    EXPECT_TRUE(AsksSolver(ctx.MakeAdd(ctx.MakeMul(lam, C(23)), C(18)),
+                           {ctx.MakeUlt(lam, mu)}));
 }
 
 }  // namespace

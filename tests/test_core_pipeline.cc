@@ -2,14 +2,17 @@
 //
 // Core pipeline tests: client predicate extraction, the differentFrom
 // matrix on the paper's Figure 5 example, and the end-to-end toy system
-// from Section 2 (the negative-address READ Trojan).
+// from Section 2 (the negative-address READ Trojan), and the negate
+// counters in the run report.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 
 #include "core/achilles.h"
 #include "core/report.h"
+#include "proto/synth/synth_family.h"
 #include "proto/toy/toy_protocol.h"
 #include "smt/eval.h"
 
@@ -313,6 +316,39 @@ TEST_F(ToyPipelineTest, TimingsAreRecorded)
     EXPECT_GT(result.timings.client_extraction, 0.0);
     EXPECT_GT(result.timings.server_analysis, 0.0);
     EXPECT_GT(result.timings.Total(), 0.0);
+}
+
+TEST(NegateStatsReportTest, RunReportCarriesNegateStats)
+{
+    // Four subcommands whose tag is arg·13 + 7i: every tag negation is
+    // an injective Case-3 field, proved overlap-free without a query.
+    ExprContext ctx;
+    Solver solver(&ctx);
+    const symexec::Program client = synth::MakeClient(4);
+    const symexec::Program server = synth::MakeServer(4);
+    AchillesConfig config;
+    config.layout = synth::MakeLayout();
+    config.clients = {&client};
+    config.server = &server;
+    AchillesResult result = RunAchilles(&ctx, &solver, config);
+    const NegateStats &ns = result.negate_stats;
+    EXPECT_EQ(ns.overlap_proved_injective, 4u);
+    EXPECT_EQ(ns.overlap_discarded, 0u);
+
+    const StatsRegistry &stats = result.preprocessing_stats;
+    EXPECT_EQ(stats.Get("negate.exact_predicates"),
+              static_cast<int64_t>(ns.exact_predicates));
+    EXPECT_EQ(stats.Get("negate.approx_predicates"),
+              static_cast<int64_t>(ns.approx_predicates));
+    EXPECT_EQ(stats.Get("negate.abandoned_fields"),
+              static_cast<int64_t>(ns.abandoned_fields));
+    EXPECT_EQ(stats.Get("negate.overlap_discarded"), 0);
+    EXPECT_EQ(stats.Get("negate.overlap_proved_injective"), 4);
+
+    std::ostringstream os;
+    PrintReport(os, config.layout, result);
+    EXPECT_NE(os.str().find(" proved-injective=4\n"), std::string::npos)
+        << os.str();
 }
 
 }  // namespace

@@ -141,17 +141,30 @@ TEST_F(UnknownConservatismTest, DifferentFromEntriesStayUnmarked)
 {
     BuildInputs();
 
-    // The real solver proves READ/WRITE differ on the request field; a
-    // budget-exhausted solver must leave every entry unmarked
-    // (src/core/different_from.cc marks only on kSat), disabling the
-    // transitive-drop optimization rather than corrupting it.
+    // A budget-exhausted solver must leave every entry it was asked
+    // about unmarked (src/core/different_from.cc marks only on kSat),
+    // disabling the transitive-drop optimization rather than corrupting
+    // it. In toy that is the value cell (1, 0): path 1's free value
+    // against path 0's constant 0, which the real solver marks.
+    DifferentFromMatrix real(&ctx, &solver, &layout);
+    real.Compute(pc.paths, negate_op.get());
     UnknownSolver unknown(&ctx);
     DifferentFromMatrix matrix(&ctx, &unknown, &layout);
     matrix.Compute(pc.paths, negate_op.get());
+    EXPECT_GT(matrix.stats().Get("difffrom.solver_queries"), 0);
+    EXPECT_TRUE(real.Different(1, 0, "value"));
+
+    // Cells between two constants (READ/WRITE on the request field) ask
+    // no solver: they are decided by evaluation, so they come out the
+    // same under either solver.
+    EXPECT_GT(matrix.stats().Get("difffrom.concrete_cells"), 0);
+    EXPECT_TRUE(matrix.Different(0, 1, "request"));
     for (size_t i = 0; i < pc.paths.size(); ++i) {
         for (size_t j = 0; j < pc.paths.size(); ++j) {
-            EXPECT_FALSE(matrix.Different(i, j, "request"));
+            EXPECT_EQ(matrix.Different(i, j, "request"),
+                      real.Different(i, j, "request"));
             EXPECT_FALSE(matrix.Different(i, j, "address"));
+            EXPECT_FALSE(matrix.Different(i, j, "value"));
         }
     }
 }

@@ -14,6 +14,7 @@
 #include <mutex>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "proto/synth/synth_family.h"
@@ -22,6 +23,7 @@
 #include "exec/expr_transfer.h"
 #include "exec/prune_index.h"
 #include "proto/fsp/fsp_protocol.h"
+#include "proto/toy/toy_protocol.h"
 
 namespace achilles {
 namespace {
@@ -273,6 +275,8 @@ struct PipelineRun
     int64_t solver_queries = 0;
     int64_t states_pruned = 0;
     int64_t core_drops = 0;
+    /** SAT calls on the home solver that ran out of conflict budget. */
+    int64_t budget_exhausted = 0;
     size_t accepting_paths = 0;
 };
 
@@ -300,6 +304,7 @@ RunPipeline(const std::vector<const symexec::Program *> &clients,
         result.server.stats.Get("explorer.trojan_queries");
     run.states_pruned = result.server.stats.Get("explorer.states_pruned");
     run.core_drops = result.server.stats.Get("explorer.core_drops");
+    run.budget_exhausted = solver.sat_counters().budget_exhausted;
     run.accepting_paths = result.server.accepting_paths.size();
     core::CanonicalHasher hasher(&ctx);
     for (const core::TrojanWitness &t : result.server.trojans) {
@@ -385,14 +390,13 @@ TEST(PruneIndexPipelineTest, BudgetedSolverNeverInventsWitnesses)
     // kUnknown. kUnknown keeps predicates and states alive and records
     // no core, so the run explores at least the unbudgeted run's
     // accepting paths, drops nothing off a core, and any witness it
-    // still emits is one the unbudgeted run emits too.
-    const std::vector<symexec::Program> fsp_clients =
-        fsp::MakeAllClients();
-    std::vector<const symexec::Program *> clients;
-    for (size_t i = 0; i < 2; ++i)
-        clients.push_back(&fsp_clients[i]);
-    const symexec::Program server = fsp::MakeServer();
-    const core::MessageLayout layout = fsp::MakeLayout();
+    // still emits is one the unbudgeted run emits too. Toy is used
+    // because its queries do run out of budget (fsp's never need
+    // search past propagation).
+    const symexec::Program client = toy::MakeClient();
+    const std::vector<const symexec::Program *> clients{&client};
+    const symexec::Program server = toy::MakeServer();
+    const core::MessageLayout layout = toy::MakeLayout();
 
     core::ServerExplorerConfig plain;
     smt::SolverConfig starved;
@@ -401,9 +405,11 @@ TEST(PruneIndexPipelineTest, BudgetedSolverNeverInventsWitnesses)
     const PipelineRun baseline =
         RunPipeline(clients, &server, layout, plain, 1);
     ASSERT_FALSE(baseline.witnesses.empty());
+    EXPECT_EQ(baseline.budget_exhausted, 0);
 
     const PipelineRun blind =
         RunPipeline(clients, &server, layout, plain, 1, starved);
+    EXPECT_GT(blind.budget_exhausted, 0);
     EXPECT_EQ(blind.core_drops, 0);
     EXPECT_GE(blind.accepting_paths, baseline.accepting_paths);
     EXPECT_TRUE(WitnessSubset(blind, baseline));
@@ -416,24 +422,34 @@ TEST(PruneIndexPipelineTest, BudgetedSolverPrunesConservativelyOnGuarded)
     // kUnsat when propagation alone refutes it (a budget limits
     // search, it never forbids deciding) -- but pruning can only
     // shrink, no core is ever consumed, and no witness is invented.
-    const symexec::Program client = synth::MakeGuardedClient(2);
-    const std::vector<const symexec::Program *> clients{&client};
-    const symexec::Program server = synth::MakeGuardedServer(2, 4);
-    const core::MessageLayout layout = synth::MakeGuardedLayout();
-
+    // Guarded never runs out of budget, so toy, whose queries do,
+    // checks the same contract with kUnknown answers in play.
     core::ServerExplorerConfig plain;
     smt::SolverConfig starved;
     starved.max_conflicts = 0;
+    const auto check = [&](const symexec::Program &client,
+                           const symexec::Program &server,
+                           const core::MessageLayout &layout) {
+        const std::vector<const symexec::Program *> clients{&client};
+        const PipelineRun real =
+            RunPipeline(clients, &server, layout, plain, 1);
+        const PipelineRun blind =
+            RunPipeline(clients, &server, layout, plain, 1, starved);
+        EXPECT_LE(blind.states_pruned, real.states_pruned);
+        EXPECT_EQ(blind.core_drops, 0);
+        EXPECT_GE(blind.accepting_paths, real.accepting_paths);
+        EXPECT_TRUE(WitnessSubset(blind, real));
+        return std::make_pair(real, blind);
+    };
 
-    const PipelineRun real =
-        RunPipeline(clients, &server, layout, plain, 1);
-    const PipelineRun blind =
-        RunPipeline(clients, &server, layout, plain, 1, starved);
-    EXPECT_GT(real.states_pruned, 0);
-    EXPECT_LE(blind.states_pruned, real.states_pruned);
-    EXPECT_EQ(blind.core_drops, 0);
-    EXPECT_GE(blind.accepting_paths, real.accepting_paths);
-    EXPECT_TRUE(WitnessSubset(blind, real));
+    const auto [guarded_real, guarded_blind] =
+        check(synth::MakeGuardedClient(2), synth::MakeGuardedServer(2, 4),
+              synth::MakeGuardedLayout());
+    EXPECT_GT(guarded_real.states_pruned, 0);
+
+    const auto [toy_real, toy_blind] = check(
+        toy::MakeClient(), toy::MakeServer(), toy::MakeLayout());
+    EXPECT_GT(toy_blind.budget_exhausted, 0);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Achilles reproduction -- tests.
 //
-// Support-library tests: deterministic RNG, stats registry, timers.
+// Support-library tests: deterministic RNG, stats registry, timers,
+// strict command-line number parsing.
 
 #include <gtest/gtest.h>
 
 #include <thread>
 
+#include "support/parse.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/timer.h"
@@ -103,6 +105,64 @@ TEST(TimerTest, MeasuresElapsedTime)
     EXPECT_GE(t.Millis(), 10.0);
     t.Reset();
     EXPECT_LT(t.Millis(), 10.0);
+}
+
+TEST(ParseTest, CountAcceptsOnlyPlainDigits)
+{
+    size_t v = 0;
+    EXPECT_TRUE(ParseCount("0", &v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(ParseCount("256", &v));
+    EXPECT_EQ(v, 256u);
+    size_t untouched = 7;
+    for (const char *bad : {"", "-1", "+4", " 4", "4x", "4 ", "abc", "0x10",
+                            "1.5", "99999999999999999999999"}) {
+        EXPECT_FALSE(ParseCount(bad, &untouched)) << "'" << bad << "'";
+        EXPECT_EQ(untouched, 7u) << "'" << bad << "'";
+    }
+}
+
+TEST(ParseTest, SecondsAcceptsFiniteUnsignedDecimals)
+{
+    double v = 0;
+    EXPECT_TRUE(ParseSeconds("0.5", &v));
+    EXPECT_EQ(v, 0.5);
+    EXPECT_TRUE(ParseSeconds(".25", &v));
+    EXPECT_EQ(v, 0.25);
+    for (const char *bad : {"", "-1", "nan", "inf", "1s", "1e999"})
+        EXPECT_FALSE(ParseSeconds(bad, &v)) << "'" << bad << "'";
+}
+
+TEST(ParseTest, CountFlagReturnsValuesInRange)
+{
+    EXPECT_EQ(CountFlagOrExit("prog", "--workers", "1", 1, kMaxWorkers),
+              1u);
+    EXPECT_EQ(CountFlagOrExit("prog", "--workers", "256", 1, kMaxWorkers),
+              kMaxWorkers);
+    EXPECT_EQ(CountFlagOrExit("prog", "--limit", "0", 0), 0u);
+    EXPECT_EQ(ProgressSecsOrExit("prog", "--progress", "86400"),
+              kMaxProgressSecs);
+}
+
+TEST(ParseDeathTest, CountFlagExitsTwoOnBadValues)
+{
+    // Negative, suffixed and over-cap values are rejected by the
+    // parser itself; nothing here starts a worker.
+    const auto exits_two = ::testing::ExitedWithCode(2);
+    EXPECT_EXIT(CountFlagOrExit("prog", "--workers", "-1", 1, kMaxWorkers),
+                exits_two, "--workers must be a whole number from 1 to 256");
+    EXPECT_EXIT(CountFlagOrExit("prog", "--workers", "257", 1, kMaxWorkers),
+                exits_two, "got '257'");
+    EXPECT_EXIT(CountFlagOrExit("prog", "--workers", "4x", 1, kMaxWorkers),
+                exits_two, "got '4x'");
+    EXPECT_EXIT(CountFlagOrExit("prog", "--clients", "0", 1), exits_two,
+                "--clients must be a whole number of at least 1");
+    EXPECT_EXIT(CountFlagOrExit("prog", "--clients", "abc", 1), exits_two,
+                "got 'abc'");
+    EXPECT_EXIT(ProgressSecsOrExit("prog", "--progress", "0"), exits_two,
+                "--progress must be a number of seconds");
+    EXPECT_EXIT(ProgressSecsOrExit("prog", "--progress", "86401"),
+                exits_two, "at most 86400");
 }
 
 }  // namespace

@@ -42,9 +42,6 @@
 // (debug|info|warn|error|off). A malformed or out-of-range number exits
 // with status 2 and a diagnostic before any work starts.
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -61,48 +58,11 @@
 #include "persist/snapshot.h"
 #include "proto/registry.h"
 #include "proto/spec/lower.h"
+#include "support/parse.h"
 
 using namespace achilles;
 
 namespace {
-
-/** Each worker is an OS thread with its own expression context and
- *  solver, so the count is capped well below what would exhaust
- *  threads or memory. */
-constexpr size_t kMaxWorkers = 256;
-/** Longest heartbeat period --progress accepts (one day). */
-constexpr double kMaxProgressSecs = 86400.0;
-
-/** Parses a decimal count: digits only, no sign, space or suffix. */
-bool
-ParseCount(const char *text, size_t *out)
-{
-    if (!std::isdigit(static_cast<unsigned char>(text[0])))
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (errno == ERANGE || *end != '\0' || value > SIZE_MAX)
-        return false;
-    *out = static_cast<size_t>(value);
-    return true;
-}
-
-/** Parses a finite, unsigned decimal number of seconds. */
-bool
-ParseSeconds(const char *text, double *out)
-{
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) &&
-        text[0] != '.')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (errno == ERANGE || *end != '\0' || !std::isfinite(value))
-        return false;
-    *out = value;
-    return true;
-}
 
 void
 Usage(const char *argv0)
@@ -146,24 +106,11 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--list-protocols") == 0) {
             list_protocols = true;
         } else if (std::strcmp(arg, "--workers") == 0 && has_value) {
-            const char *value = argv[++i];
-            if (!ParseCount(value, &workers) || workers < 1 ||
-                workers > kMaxWorkers) {
-                std::fprintf(stderr,
-                             "%s: --workers must be a whole number from 1 "
-                             "to %zu, got '%s'\n",
-                             argv[0], kMaxWorkers, value);
-                return 2;
-            }
+            workers = CountFlagOrExit(argv[0], "--workers", argv[++i], 1,
+                                      kMaxWorkers);
         } else if (std::strcmp(arg, "--clients") == 0 && has_value) {
-            const char *value = argv[++i];
-            if (!ParseCount(value, &num_clients) || num_clients < 1) {
-                std::fprintf(stderr,
-                             "%s: --clients must be a whole number of at "
-                             "least 1, got '%s'\n",
-                             argv[0], value);
-                return 2;
-            }
+            num_clients =
+                CountFlagOrExit(argv[0], "--clients", argv[++i], 1);
         } else if (std::strcmp(arg, "--metrics-out") == 0 && has_value) {
             metrics_path = argv[++i];
         } else if (std::strcmp(arg, "--trace-out") == 0 && has_value) {
@@ -179,15 +126,8 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--progress") == 0) {
             progress_secs = 1.0;
         } else if (std::strncmp(arg, "--progress=", 11) == 0) {
-            const char *value = arg + 11;
-            if (!ParseSeconds(value, &progress_secs) || progress_secs <= 0 ||
-                progress_secs > kMaxProgressSecs) {
-                std::fprintf(stderr,
-                             "%s: --progress must be a number of seconds "
-                             "above 0 and at most %g, got '%s'\n",
-                             argv[0], kMaxProgressSecs, value);
-                return 2;
-            }
+            progress_secs =
+                ProgressSecsOrExit(argv[0], "--progress", arg + 11);
         } else if (std::strcmp(arg, "--help") == 0 ||
                    std::strcmp(arg, "-h") == 0) {
             Usage(argv[0]);
