@@ -47,6 +47,7 @@ const struct
     {"sat.trail_reuses", &SatCounters::trail_reuses},
     {"sat.trail_levels_reused", &SatCounters::trail_levels_reused},
     {"sat.core_minimize_probes", &SatCounters::core_minimize_probes},
+    {"sat.queue_pushes", &SatCounters::queue_pushes},
 };
 static_assert(sizeof(kCounterKeys) / sizeof(kCounterKeys[0]) *
                       sizeof(int64_t) ==
@@ -112,6 +113,7 @@ uint32_t
 SatSolver::NewDefinedVar(const Lit *inputs, size_t n)
 {
     const uint32_t v = NewVar();
+    var_flags_[v] |= kVarDefined;
     for (size_t i = 0; i < n; ++i) {
         ACHILLES_CHECK(inputs[i].var() < v, "definition input not older");
         def_inputs_.push_back(inputs[i].var());
@@ -125,6 +127,7 @@ SatSolver::MarkCone(const std::vector<Lit> &assumptions)
     for (uint32_t v : cone_)
         var_flags_[v] &= ~kVarInCone;
     cone_.clear();
+    queue_whole_cone_ = false;
     const auto visit = [this](uint32_t v) {
         if (!(var_flags_[v] & kVarInCone)) {
             var_flags_[v] |= kVarInCone;
@@ -147,7 +150,8 @@ SatSolver::MarkCone(const std::vector<Lit> &assumptions)
             visit(def_inputs_[k]);
         if (assigns_[v] == LBool::kUndef) {
             ++unassigned;
-            HeapInsert(v);
+            if (!(var_flags_[v] & kVarDefined))
+                HeapInsert(v);
         }
     }
     return unassigned;
@@ -195,6 +199,7 @@ SatSolver::HeapInsert(uint32_t var)
 {
     if (heap_pos_[var] >= 0)
         return;
+    ++counters_.queue_pushes;
     heap_.push_back(var);
     heap_pos_[var] = static_cast<int32_t>(heap_.size() - 1);
     HeapSiftUp(heap_.size() - 1);
@@ -499,8 +504,11 @@ SatSolver::BacktrackTo(uint32_t target_level)
         saved_phase_[l.var()] = l.negated() ? 0 : 1;
         assigns_[l.var()] = LBool::kUndef;
         reason_[l.var()] = kNoClause;
-        if (var_flags_[l.var()] & kVarInCone)
+        const uint8_t flags = var_flags_[l.var()];
+        if ((flags & kVarInCone) &&
+            (!(flags & kVarDefined) || queue_whole_cone_)) {
             HeapInsert(l.var());
+        }
     }
     trail_.resize(bound);
     trail_lim_.resize(target_level);
@@ -514,16 +522,30 @@ SatSolver::PickBranchLit()
 {
     // Pop the activity order-heap until an unassigned cone variable
     // surfaces; others leave the heap until a later cone takes them back.
-    // Every unassigned cone variable is in the heap (MarkCone queues
-    // them, BacktrackTo re-inserts what it unassigns), so an empty heap
+    // Every unassigned cone input is in the heap (MarkCone queues them,
+    // BacktrackTo re-inserts what it unassigns). Gate outputs are not
+    // queued: propagation assigns them once their inputs are. When the
+    // heap runs dry, queue whatever cone variable is still unassigned
+    // (a one-sided definition nothing fixed) and keep queueing every
+    // cone variable for the rest of the call; an empty heap after that
     // means the cone is fully assigned.
-    while (!heap_.empty()) {
-        const uint32_t v = HeapPop();
-        if (assigns_[v] != LBool::kUndef || !(var_flags_[v] & kVarInCone))
-            continue;
-        return Lit(v, saved_phase_[v] == 0);
+    while (true) {
+        while (!heap_.empty()) {
+            const uint32_t v = HeapPop();
+            if (assigns_[v] != LBool::kUndef ||
+                !(var_flags_[v] & kVarInCone)) {
+                continue;
+            }
+            return Lit(v, saved_phase_[v] == 0);
+        }
+        if (queue_whole_cone_)
+            return Lit::FromCode(0xffffffffu);
+        queue_whole_cone_ = true;
+        for (uint32_t v : cone_) {
+            if (assigns_[v] == LBool::kUndef)
+                HeapInsert(v);
+        }
     }
-    return Lit::FromCode(0xffffffffu);
 }
 
 void
@@ -763,11 +785,9 @@ SatSolver::Solve(const std::vector<Lit> &assumptions, int64_t max_conflicts)
 {
     if (!ok_) {
         core_.clear();
-        last_solve_conflicts_ = 0;
         return SatStatus::kUnsat;
     }
     ++counters_.solve_calls;
-    const int64_t conflicts_before = counters_.conflicts;
     const SatStatus status = Search(assumptions, max_conflicts);
     // Cores of at most two literals skip the deletion loop: a
     // conflicting pair is already minimal unless one member is
@@ -781,7 +801,6 @@ SatSolver::Solve(const std::vector<Lit> &assumptions, int64_t max_conflicts)
     }
     if (status == SatStatus::kUnsat)
         MaybeExportCore();
-    last_solve_conflicts_ = counters_.conflicts - conflicts_before;
     return status;
 }
 

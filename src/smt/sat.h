@@ -70,6 +70,7 @@ struct SatCounters
     int64_t trail_reuses = 0;
     int64_t trail_levels_reused = 0;
     int64_t core_minimize_probes = 0;
+    int64_t queue_pushes = 0;
 
     /** Field-wise sum and difference. */
     SatCounters &operator+=(const SatCounters &other);
@@ -101,8 +102,18 @@ struct SatCounters
  *    AddDefClause and mention only the variable and its inputs; inputs
  *    are created before the variable they define.
  *
+ * Decisions. A call branches only on the cone's inputs: the variables
+ * made by NewVar, which have no definition. MarkCone and BacktrackTo
+ * queue an unassigned cone variable only if it is an input. A gate's
+ * clauses are a full Tseitin definition, so propagation assigns it once
+ * its inputs are assigned. A cone variable with a one-sided definition
+ * (a guard that a raw clause roots but no assumption sets) may still be
+ * unassigned when the queue runs dry; PickBranchLit then queues every
+ * unassigned cone variable, once, for the rest of the call.
+ *
  * A call answers kSat once propagation is complete and conflict-free,
- * every assumption is true and every cone variable is assigned.
+ * every assumption is true and every cone variable is assigned. Which
+ * variables were decided does not enter the argument below.
  * Soundness: let σ be that partial assignment. Extend it by visiting the
  * variables outside the cone in creation order: a gate takes the value
  * of its function over its (already valued) inputs, a guard is set
@@ -210,11 +221,6 @@ class SatSolver
      */
     void SetTrailReuse(bool on) { trail_reuse_ = on; }
 
-    /** Conflicts spent by the most recent Solve call, including any
-     *  core-minimization probes (per-Solve accounting; stream-level
-     *  conflict budgets settle their carry-forward against this). */
-    int64_t last_solve_conflicts() const { return last_solve_conflicts_; }
-
     // -- Learned-clause exchange hooks --------------------------------
     //
     // A learnt clause whose literals are all negated assumption guards
@@ -321,6 +327,7 @@ class SatSolver
     static constexpr uint8_t kVarShared = 1;  // exportable (SetVarShared)
     static constexpr uint8_t kVarRoot = 2;    // in an AddClause clause
     static constexpr uint8_t kVarInCone = 4;  // in the current call's cone
+    static constexpr uint8_t kVarDefined = 8;  // made by NewDefinedVar
 
     struct Watcher
     {
@@ -332,8 +339,8 @@ class SatSolver
     uint32_t NewDefinedVar(const Lit *inputs, size_t n);
     bool InsertClause(std::vector<Lit> lits, bool root);
     /** Mark the cone of `assumptions` (clearing the previous call's),
-     *  queue its unassigned variables for decision and return how many
-     *  there are. */
+     *  queue its unassigned inputs for decision and return how many
+     *  cone variables, inputs or not, are unassigned. */
     size_t MarkCone(const std::vector<Lit> &assumptions);
     /** `refute_only`: return kUnknown (instead of branching toward a
      *  model) once every assumption is established conflict-free --
@@ -420,7 +427,10 @@ class SatSolver
     bool ok_ = true;
     bool minimize_core_ = false;
     bool trail_reuse_ = true;
-    int64_t last_solve_conflicts_ = 0;
+    /** Set once the current call's input queue ran dry: every cone
+     *  variable is queued from then on (see PickBranchLit). MarkCone
+     *  clears it. */
+    bool queue_whole_cone_ = false;
     std::vector<Lit> core_;
     /** The assumption literal established at each standing decision
      *  level (levels beyond its size are search decisions). The next

@@ -407,6 +407,7 @@ Solver::SolveFresh(const std::vector<ExprRef> &live, Model *out_model)
     sat_totals_ += sat.counters();
     stats_.Bump("solver.sat_conflicts", sat.counters().conflicts);
     stats_.Bump("solver.sat_decisions", sat.counters().decisions);
+    stats_.Bump("solver.sat_queue_pushes", sat.counters().queue_pushes);
 
     switch (status) {
       case SatStatus::kUnsat:
@@ -551,6 +552,7 @@ Solver::DrainIncrementalStats()
     sat_totals_ += delta;
     stats_.Bump("solver.sat_conflicts", delta.conflicts);
     stats_.Bump("solver.sat_decisions", delta.decisions);
+    stats_.Bump("solver.sat_queue_pushes", delta.queue_pushes);
     stats_.Bump("solver.trail_reuses", delta.trail_reuses);
 }
 

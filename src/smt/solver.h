@@ -382,8 +382,9 @@ class Solver
     /**
      * Event counts summed over every SAT instance this solver ran, fresh
      * and incremental. Their "solver.sat_conflicts",
-     * "solver.sat_decisions" and "solver.trail_reuses" stats are built
-     * from these, so the two always agree; reading this is free.
+     * "solver.sat_decisions", "solver.sat_queue_pushes" and
+     * "solver.trail_reuses" stats are built from these, so the two
+     * always agree; reading this is free.
      */
     const SatCounters &sat_counters() const { return sat_totals_; }
 

@@ -5,8 +5,11 @@
 // raw hard clauses, solved under random assumption sequences. Every kSat
 // partial model, extended by evaluation outside the cone, must satisfy
 // every original clause, and every verdict must equal that of a fresh
-// solve in which every clause is a root. Solution reuse and imported
-// clauses ride the same instance.
+// solve in which every clause is a root (full decisions: every variable
+// is an input there). Solution reuse and imported clauses ride the same
+// instance. Further tests check that a call queues only the circuit
+// inputs of its cone for decision, and that a cone variable no input
+// fixes is still decided.
 
 #include <gtest/gtest.h>
 
@@ -321,8 +324,108 @@ TEST(SatConeTest, DecidesOnlyTheAssumedCircuit)
     ASSERT_EQ(sat.Solve({small}), SatStatus::kSat);
     // At most the small chain's free inputs (5) are decided.
     EXPECT_LE(sat.counters().decisions, 5);
+    // The call queues its cone's inputs only: all 201 of the large
+    // chain's free variables are unassigned when it starts, so one more
+    // push would be a guard or an XOR output.
+    const int64_t pushes_before = sat.counters().queue_pushes;
     ASSERT_EQ(sat.Solve({large}), SatStatus::kSat);
     EXPECT_GT(sat.counters().decisions, 5);
+    EXPECT_LE(sat.counters().queue_pushes - pushes_before, 201);
+}
+
+TEST(SatConeTest, DecidesConeVariablesNoInputFixes)
+{
+    // Two defined variables that assigning every input leaves open: the
+    // guard g, which a raw clause roots but no assumption sets, and h,
+    // whose one-sided definition only says h >= x & s. Once the inputs
+    // are decided the queue is empty, so the call must fall back to
+    // queueing the rest of the cone. Every variable is in the cone of
+    // every query below, so the partial model is the extended one.
+    SatSolver sat;
+    std::vector<std::vector<Lit>> clauses;
+    const auto def = [&](std::vector<Lit> clause) {
+        clauses.push_back(clause);
+        sat.AddDefClause(std::move(clause));
+    };
+    const Lit x(sat.NewVar(), false);
+    const Lit y(sat.NewVar(), false);
+    const Lit s(sat.NewVar(), false);
+    const Lit w(sat.NewVar(), false);
+    sat.SetPhase(x.var(), true);
+    sat.SetPhase(y.var(), true);
+    sat.SetPhase(w.var(), true);
+    const Lit a(sat.NewDefinedVar({x, y}), false);  // a = x & y
+    def({~a, x});
+    def({~a, y});
+    def({a, ~x, ~y});
+    const Lit g(sat.NewDefinedVar({a}), false);  // guard over a
+    def({~g, a});
+    clauses.push_back({g, w});
+    sat.AddClause({g, w});
+    const Lit h(sat.NewDefinedVar({x, s}), false);
+    def({h, ~x, ~s});
+    // Left open, g and h would read false and break this clause.
+    clauses.push_back({g, h, ~w});
+    sat.AddClause({g, h, ~w});
+    const Lit m(sat.NewDefinedVar({s, h, y}), false);  // m = s ? h : y
+    def({~s, ~h, m});
+    def({~s, h, ~m});
+    def({s, ~y, m});
+    def({s, y, ~m});
+    const Lit q(sat.NewDefinedVar({m}), false);  // guard over m
+    def({~q, m});
+    const uint32_t vars = sat.NumVars();
+
+    /** Whether every clause and assumption holds under `holds`. */
+    const auto satisfies = [&clauses](const auto &holds,
+                                      const std::vector<Lit> &assumptions) {
+        for (const std::vector<Lit> &clause : clauses) {
+            bool any = false;
+            for (Lit l : clause)
+                any = any || holds(l);
+            if (!any)
+                return false;
+        }
+        for (Lit l : assumptions) {
+            if (!holds(l))
+                return false;
+        }
+        return true;
+    };
+    const auto brute_force = [&](const std::vector<Lit> &assumptions) {
+        for (uint32_t bits = 0; bits < (1u << vars); ++bits) {
+            const auto holds = [bits](Lit l) {
+                return ((bits >> l.var()) & 1) != l.negated();
+            };
+            if (satisfies(holds, assumptions))
+                return true;
+        }
+        return false;
+    };
+    const auto model_holds = [&sat](Lit l) {
+        return sat.Value(l.var()) != l.negated();
+    };
+
+    const std::vector<std::vector<Lit>> queries = {
+        {q}, {q, ~w}, {q, s}, {q, s, ~h}, {~q, ~y}, {q, ~y, ~s}, {q, ~g},
+        {q, ~w, ~x}, {q},
+    };
+    for (size_t i = 0; i < queries.size(); ++i) {
+        const std::string where = "query " + std::to_string(i);
+        const int64_t pushes_before = sat.counters().queue_pushes;
+        const SatStatus status = sat.Solve(queries[i]);
+        ASSERT_EQ(status == SatStatus::kSat, brute_force(queries[i]))
+            << where;
+        if (i == 0) {
+            // Four inputs, then the fallback's g and h.
+            EXPECT_EQ(sat.counters().queue_pushes - pushes_before, 6)
+                << where;
+        }
+        if (status == SatStatus::kSat) {
+            EXPECT_TRUE(satisfies(model_holds, queries[i]))
+                << where << ": the model breaks a clause or assumption";
+        }
+    }
 }
 
 TEST(SatConeTest, RawClausesKeepFullDecisions)

@@ -313,6 +313,7 @@ ExpectSatCounterParity(const SatSolver &sat)
         {"sat.trail_reuses", c.trail_reuses},
         {"sat.trail_levels_reused", c.trail_levels_reused},
         {"sat.core_minimize_probes", c.core_minimize_probes},
+        {"sat.queue_pushes", c.queue_pushes},
     };
     for (const auto &[key, value] : fields)
         EXPECT_EQ(stats.Get(key), value) << key;
@@ -363,6 +364,8 @@ RunCounterParityStream()
         const smt::SatCounters &c = solver.sat_counters();
         EXPECT_EQ(solver.stats().Get("solver.sat_conflicts"), c.conflicts);
         EXPECT_EQ(solver.stats().Get("solver.sat_decisions"), c.decisions);
+        EXPECT_EQ(solver.stats().Get("solver.sat_queue_pushes"),
+                  c.queue_pushes);
         EXPECT_EQ(solver.stats().Get("solver.trail_reuses"),
                   c.trail_reuses);
     };
